@@ -109,8 +109,8 @@ let throughput_sweep () =
          legs);
   note
     "identical layer arrays were asserted across every configuration; the \
-     boxed leg runs the generic per-message list path (the seed baseline), \
-     csr streams the packed adjacency plane.";
+     boxed leg streams the boxed (int * int) adjacency rows, csr the \
+     packed adjacency plane.";
   legs
 
 (* ------------------------------------------------------------------ *)

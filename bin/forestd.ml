@@ -343,7 +343,13 @@ let decompose path algorithm epsilon seed alpha_opt dot save trace metrics
   in
   let coloring, obs_trace =
     match faults with
-    | None -> run_collected ()
+    | None -> (
+        (* an input the algorithm refuses (a star-forest decomposition
+           of a graph with parallel edges) is a CLI error, not a crash *)
+        try run_collected ()
+        with Invalid_argument msg ->
+          prerr_endline ("forestd: " ^ msg);
+          exit 2)
     | Some (plan, f) ->
         let r, stats =
           (* a fault-killed run becomes the documented JSON diagnostic *)

@@ -1,7 +1,3 @@
-(* nwlint:disable PERF001 -- the multi-forest recv fills are t-sized (one
-   slot per forest, t = max out-degree of the orientation), a few dozen
-   words per vertex inside a Theta(m) round; they are not O(n) scratch
-   resets *)
 module G = Nw_graphs.Multigraph
 module Net = Nw_localsim.Msg_net
 module Obs = Nw_obs.Obs
@@ -134,31 +130,57 @@ let three_color_forests g ~edge_forest ~parent_edge ~t ~ids ~rounds =
   let colors = Array.make (n * t) 0 in
   let pcolors = Array.make (n * t) (-1) in
   let cmask = Array.make (n * t) 0 in
+  (* Generation stamps instead of per-receive slot resets: exchange [r]
+     writes slot [i] together with [pstamp.(i) <- r] ([cstamp] for the
+     child masks), and a receiving vertex records [r] in [pseen] ([cseen]
+     in the recolor exchange). A slot counts only when its stamp matches
+     its vertex's last receive, so it reads as reset otherwise. A vertex
+     that did not receive (crashed under a fault plan) keeps its last
+     view, exactly as when the slots were cleared inside recv. *)
+  let pstamp = Array.make (n * t) 0 and cstamp = Array.make (n * t) 0 in
+  let pseen = Array.make n 0 and cseen = Array.make n 0 in
+  let gen = ref 0 in
+  let pcolor v i = if pstamp.(i) = pseen.(v) then pcolors.(i) else -1 in
+  let children v i = if cstamp.(i) = cseen.(v) then cmask.(i) else 0 in
   let net =
     Net.create g ~rounds ~init:(fun v ->
-        (* creation and fault-injected restarts: color reverts to the id *)
-        Array.fill colors (v * t) t ids.(v);
+        (* the vertex's initial state, not scratch: at creation and on a
+           fault-injected restart its whole color slice reverts to its id *)
+        for j = 0 to t - 1 do
+          colors.((v * t) + j) <- ids.(v)
+        done;
         v)
   in
   let value u _ e = colors.((u * t) + edge_forest.(e)) in
   let recv_parents v _ iter =
-    Array.fill pcolors (v * t) t (-1);
+    pseen.(v) <- !gen;
     iter (fun e c ->
-        let j = edge_forest.(e) in
-        if e = parent_edge.((v * t) + j) then pcolors.((v * t) + j) <- c);
+        let i = (v * t) + edge_forest.(e) in
+        if e = parent_edge.(i) then begin
+          pcolors.(i) <- c;
+          pstamp.(i) <- !gen
+        end);
     v
   in
   let recv_full v _ iter =
-    Array.fill pcolors (v * t) t (-1);
-    Array.fill cmask (v * t) t 0;
+    pseen.(v) <- !gen;
+    cseen.(v) <- !gen;
     iter (fun e c ->
-        let j = edge_forest.(e) in
-        let i = (v * t) + j in
-        if e = parent_edge.(i) then pcolors.(i) <- c
-        else if c >= 0 && c < 62 then cmask.(i) <- cmask.(i) lor (1 lsl c));
+        let i = (v * t) + edge_forest.(e) in
+        if e = parent_edge.(i) then begin
+          pcolors.(i) <- c;
+          pstamp.(i) <- !gen
+        end
+        else if c >= 0 && c < 62 then begin
+          cmask.(i) <- children v i lor (1 lsl c);
+          cstamp.(i) <- !gen
+        end);
     v
   in
-  let exchange label recv = Net.round_exchange_edges net ~label ~value ~recv in
+  let exchange label recv =
+    incr gen;
+    Net.round_exchange_edges net ~label ~value ~recv
+  in
   let max_id = Array.fold_left max 0 ids in
   let iterations =
     let rec count l acc =
@@ -169,32 +191,37 @@ let three_color_forests g ~edge_forest ~parent_edge ~t ~ids ~rounds =
   in
   for _ = 1 to iterations do
     exchange "cole-vishkin/bit-reduction" recv_parents;
-    for i = 0 to (n * t) - 1 do
-      let color = colors.(i) in
-      let pcolor =
-        if parent_edge.(i) >= 0 then pcolors.(i) else color lxor 1
-      in
-      colors.(i) <- reduce_color color pcolor
+    for v = 0 to n - 1 do
+      for i = v * t to (v * t) + t - 1 do
+        let color = colors.(i) in
+        let pc = if parent_edge.(i) >= 0 then pcolor v i else color lxor 1 in
+        colors.(i) <- reduce_color color pc
+      done
     done
   done;
   for c = 5 downto 3 do
     exchange "cole-vishkin/shift-down" recv_parents;
-    for i = 0 to (n * t) - 1 do
-      colors.(i) <-
-        (if parent_edge.(i) >= 0 then pcolors.(i)
-         else if colors.(i) = 0 then 1
-         else 0)
+    for v = 0 to n - 1 do
+      for i = v * t to (v * t) + t - 1 do
+        colors.(i) <-
+          (if parent_edge.(i) >= 0 then pcolor v i
+           else if colors.(i) = 0 then 1
+           else 0)
+      done
     done;
     exchange "cole-vishkin/recolor" recv_full;
-    for i = 0 to (n * t) - 1 do
-      if colors.(i) = c then begin
-        let forbid x =
-          (parent_edge.(i) >= 0 && pcolors.(i) = x)
-          || (x < 62 && cmask.(i) land (1 lsl x) <> 0)
-        in
-        let rec pick x = if forbid x then pick (x + 1) else x in
-        colors.(i) <- pick 0
-      end
+    for v = 0 to n - 1 do
+      for i = v * t to (v * t) + t - 1 do
+        if colors.(i) = c then begin
+          let pc = pcolor v i and cm = children v i in
+          let forbid x =
+            (parent_edge.(i) >= 0 && pc = x)
+            || (x < 62 && cm land (1 lsl x) <> 0)
+          in
+          let rec pick x = if forbid x then pick (x + 1) else x in
+          colors.(i) <- pick 0
+        end
+      done
     done
   done;
   colors

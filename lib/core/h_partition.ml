@@ -27,9 +27,9 @@ let compute g ~epsilon ~alpha_star ~rounds =
      joining at iteration [i] counts neighbors joining simultaneously, which
      matches "at most t neighbors in H_i ∪ ... ∪ H_k". *)
   (* a peeling announcement carries no payload, so the round is a
-     counting broadcast: on the CSR plane it streams the adjacency
-     vectors with zero per-message allocation (byte-identical to the
-     generic per-message path the boxed plane still executes) *)
+     counting broadcast: on either plane it streams the adjacency with
+     zero per-message allocation (under a fault context the kernel
+     falls back to its per-message path) *)
   let iteration i =
     let decide v (st : peel_state) =
       ignore v;
@@ -137,38 +137,24 @@ let star_forest_decomposition g o ~ids ~rounds =
   in
   Rounds.charge_max rounds [ sub_rounds ];
   (* edge color = color of the parent endpoint: the child endpoint of the
-     edge is the vertex whose parent edge it is. Emit grouped by forest,
-     ascending edge id within each. *)
-  let out = Coloring.create g ~colors:(3 * t) in
-  let offset = Array.make (t + 1) 0 in
-  for e = 0 to m - 1 do
-    offset.(edge_forest.(e) + 1) <- offset.(edge_forest.(e) + 1) + 1
-  done;
-  for j = 0 to t - 1 do
-    offset.(j + 1) <- offset.(j + 1) + offset.(j)
-  done;
-  let by_forest = Array.make m (-1) in
-  let cursor = Array.copy offset in
-  for e = 0 to m - 1 do
-    let j = edge_forest.(e) in
-    by_forest.(cursor.(j)) <- e;
-    cursor.(j) <- cursor.(j) + 1
-  done;
-  for j = 0 to t - 1 do
-    for i = offset.(j) to offset.(j + 1) - 1 do
-      let e = by_forest.(i) in
-      let u, v = G.endpoints g e in
-      let parent =
-        if parent_edge.((u * t) + j) = e then v
-        else begin
-          assert (parent_edge.((v * t) + j) = e);
-          u
-        end
-      in
-      Coloring.set out e ((3 * j) + vcolors.((parent * t) + j))
-    done
-  done;
-  out
+     edge is the vertex whose parent edge it is. Every edge of color
+     [3j + x] lies in forest [j], so one bulk build in ascending edge
+     order gives the same per-color lists as emitting forest by forest. *)
+  let some = Array.init (3 * t) Option.some in
+  let colors =
+    Array.init m (fun e ->
+        let j = edge_forest.(e) in
+        let u = G.src g e and v = G.dst g e in
+        let parent =
+          if parent_edge.((u * t) + j) = e then v
+          else begin
+            assert (parent_edge.((v * t) + j) = e);
+            u
+          end
+        in
+        some.((3 * j) + vcolors.((parent * t) + j)))
+  in
+  Coloring.of_array g ~colors:(3 * t) colors
 
 (* charges land in the caller's phase span (lsfd/list-coloring drivers) *)
 let[@obs.in_span] list_forest_decomposition g o palette ~rounds =

@@ -561,11 +561,57 @@ module Make (G : Nw_graphs.Graph_sig.GRAPH_EXT) :
   let to_array t =
     Array.map (fun c -> if c < 0 then None else Some c) t.assign
 
+  (* Bulk construction. Linking in ascending edge order leaves every
+     (color, vertex) list and every per-color edge list exactly as the
+     per-edge [set] loop would (prepend, latest first). Acyclicity is
+     checked class by class with one shared union-find, reset over the
+     endpoints each class touched; the per-color union-find and rooted
+     forests are left unbuilt ([uf_built] < [uf_gen]) for [uf_rebuild]
+     to build on a class's first query. *)
   let of_array g ~colors a =
     if Array.length a <> G.m g then
       invalid_arg "Coloring.of_array: length mismatch";
     let t = create g ~colors in
-    Array.iteri (fun e c -> match c with None -> () | Some c -> set t e c) a;
+    Array.iteri
+      (fun e c ->
+        match c with
+        | None -> ()
+        | Some c ->
+            if c < 0 || c >= colors then
+              invalid_arg "Coloring.of_array: color out of range";
+            link_node t c (G.src g e) (2 * e);
+            link_node t c (G.dst g e) ((2 * e) + 1);
+            link_edge t c e;
+            t.assign.(e) <- c;
+            t.colored <- t.colored + 1)
+      a;
+    (* path halving (a tail call, so no recursion depth) keeps every
+       find amortized O(log n) without a rank array *)
+    let parent = Array.init (G.n g) Fun.id in
+    let rec find x =
+      let p = parent.(x) in
+      if p = x then x
+      else begin
+        parent.(x) <- parent.(p);
+        find parent.(x)
+      end
+    in
+    for c = 0 to colors - 1 do
+      let e = ref t.ehead.(c) in
+      while !e >= 0 do
+        let ru = find (G.src g !e) and rv = find (G.dst g !e) in
+        if ru = rv then invalid_arg "Coloring.of_array: class is not a forest";
+        parent.(ru) <- rv;
+        e := t.enxt.(!e)
+      done;
+      (* only this class's endpoints were linked or halved *)
+      let e = ref t.ehead.(c) in
+      while !e >= 0 do
+        parent.(G.src g !e) <- G.src g !e;
+        parent.(G.dst g !e) <- G.dst g !e;
+        e := t.enxt.(!e)
+      done
+    done;
     t
 
   let copy t = of_array t.g ~colors:t.colors (to_array t)

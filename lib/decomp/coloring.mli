@@ -148,11 +148,20 @@ val iter_colored_incident : t -> int -> int -> (int -> int -> unit) -> unit
 val to_array : t -> int option array
 
 (** [of_array g ~colors a] rebuilds a coloring from a snapshot, on the
-    plane selected by [Nw_graphs.Backend.default ()].
-    @raise Invalid_argument if some class is not a forest. *)
+    plane selected by [Nw_graphs.Backend.default ()], in one bulk pass:
+    O(m + n) plus the per-color arrays, with no per-edge cycle query.
+    The result answers every query exactly as [create] followed by
+    [set e c] for each colored edge in ascending edge order: same
+    {!to_array}, same {!iter_colored_incident} order, same
+    connectivity. The per-color union-find and rooted forest are built
+    lazily on a color's first connectivity query, so {!path} returns the
+    same edge set but may list it in another order, and
+    {!Counters} count fewer queries and rebuilds than that loop did.
+    @raise Invalid_argument if some class is not a forest or a color is
+    out of range. *)
 val of_array : Nw_graphs.Multigraph.t -> colors:int -> int option array -> t
 
-(** Deep copy on the same plane as [t]. *)
+(** Deep copy on the same plane as [t], through the bulk {!of_array}. *)
 val copy : t -> t
 
 (** [extend t g'] transplants a live coloring onto [g'], a supergraph of

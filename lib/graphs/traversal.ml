@@ -54,32 +54,58 @@ let diameter g =
   done;
   !best
 
-(* Farthest vertex (and its distance) from [v] within v's component. *)
-let farthest g v =
-  let dist = distances g v in
-  let best_v = ref v and best_d = ref 0 in
-  Array.iteri
-    (fun u d ->
-      if d > !best_d then begin
-        best_d := d;
-        best_v := u
-      end)
-    dist;
-  (!best_v, !best_d)
+(* Two BFS sweeps per tree over one stamped scratch: every sweep takes a
+   fresh stamp instead of a fresh n-sized array, and a class starts at
+   [base] so any vertex stamped at or after it already lies in a swept
+   tree. Each class costs O(n + its edges). A BFS over a forest only
+   ever meets unmarked vertices off its parent edge, so meeting a marked
+   one is a cycle. *)
+let forest_diameter n ~classes iter =
+  let mark = Array.make n 0
+  and dist = Array.make n 0
+  and via = Array.make n (-1)
+  and queue = Array.make n 0 in
+  let stamp = ref 0 in
+  (* BFS from [s] in class [c]; returns the farthest vertex found *)
+  let sweep c s =
+    incr stamp;
+    let st = !stamp in
+    mark.(s) <- st;
+    dist.(s) <- 0;
+    via.(s) <- -1;
+    queue.(0) <- s;
+    let head = ref 0 and tail = ref 1 and far = ref s in
+    while !head < !tail do
+      let x = queue.(!head) in
+      incr head;
+      if dist.(x) > dist.(!far) then far := x;
+      iter c x (fun w e ->
+          if e <> via.(x) then begin
+            if mark.(w) = st then
+              invalid_arg "Traversal.forest_diameter: not a forest";
+            mark.(w) <- st;
+            dist.(w) <- dist.(x) + 1;
+            via.(w) <- e;
+            queue.(!tail) <- w;
+            incr tail
+          end)
+    done;
+    !far
+  in
+  let best = ref 0 in
+  for c = 0 to classes - 1 do
+    let base = !stamp + 1 in
+    for v = 0 to n - 1 do
+      if mark.(v) < base then begin
+        let far = sweep c (sweep c v) in
+        if dist.(far) > !best then best := dist.(far)
+      end
+    done
+  done;
+  !best
 
 let tree_diameter g =
-  if not (is_forest g) then invalid_arg "Traversal.tree_diameter: not a forest";
-  let label, c = components g in
-  let rep = Array.make c (-1) in
-  Array.iteri (fun v l -> if rep.(l) < 0 then rep.(l) <- v) label;
-  let best = ref 0 in
-  Array.iter
-    (fun v ->
-      let far, _ = farthest g v in
-      let _, d = farthest g far in
-      if d > !best then best := d)
-    rep;
-  !best
+  forest_diameter (G.n g) ~classes:1 (fun _ v f -> G.iter_incident g v f)
 
 let spanning_forest g =
   let uf = Union_find.create (G.n g) in

@@ -21,6 +21,15 @@ val diameter : Multigraph.t -> int
     @raise Invalid_argument if [g] is not a forest. *)
 val tree_diameter : Multigraph.t -> int
 
+(** [forest_diameter n ~classes iter] is the largest tree diameter over
+    [classes] forests on the vertices [0..n-1], where [iter c v f] calls
+    [f neighbor edge] for every class-[c] edge at [v]. Two BFS passes
+    per tree over one stamped scratch: O(n + m_c) per class, no
+    per-tree allocation. 0 when every class is edgeless.
+    @raise Invalid_argument if some class is not a forest. *)
+val forest_diameter :
+  int -> classes:int -> (int -> int -> (int -> int -> unit) -> unit) -> int
+
 (** [spanning_forest g] is the edge-id set (membership array over edges) of
     an arbitrary spanning forest of [g]. *)
 val spanning_forest : Multigraph.t -> bool array

@@ -279,33 +279,39 @@ module Make (G : Nw_graphs.Graph_sig.GRAPH) = struct
   (* Edge-valued exchange: like [exchange_step], but the broadcast value
      may depend on the edge it crosses ([value v st e]) — the shape of
      the concurrent multi-forest Cole–Vishkin round, where a vertex's
-     message on edge [e] is its color in [e]'s forest. The contract
-     requires [value] to be pure over the round (it must not observe
-     anything [recv] changes), so the gather evaluates it on the fly at
-     each receiver instead of snapshotting 2m message slots first: one
-     random access per delivery, no per-round edge-sized scratch. *)
+     message on edge [e] is its color in [e]'s forest. The gather
+     evaluates [value] on the fly at each receiver instead of
+     snapshotting 2m message slots first: one random access per
+     delivery, no per-round edge-sized scratch. New states go to a
+     vertex-sized buffer until the gather ends, so [value] always sees
+     the sender's pre-round state, as in the per-message round; the
+     contract asks [value] not to read shared data that [recv] writes. *)
   let exchange_edges_step t ~value ~recv =
     let n = G.n t.g in
+    let next = Array.copy t.states in
     for v = 0 to n - 1 do
-      t.states.(v) <-
+      next.(v) <-
         recv v t.states.(v) (fun f ->
             G.iter_incident t.g v (fun u e -> f e (value u t.states.(u) e)))
     done;
+    Array.blit next 0 t.states 0 n;
     t.delivered <- t.delivered + (2 * G.m t.g)
 
   let exchange_edges_step_par t k ~value ~recv =
     let n = G.n t.g in
     let shards = Dpool.split n k in
-    (* purity of [value] over the round is what makes the shards
-       independent: every domain reads the same pre-round view *)
+    let next = Array.copy t.states in
+    (* every domain reads the same pre-round view and writes only its
+       own shard of [next] *)
     Dpool.run ~domains:k (fun d ->
         let lo, hi = shards.(d) in
         for v = lo to hi - 1 do
-          t.states.(v) <-
+          next.(v) <-
             recv v t.states.(v) (fun f ->
                 G.iter_incident t.g v (fun u e ->
                     f e (value u t.states.(u) e)))
         done);
+    Array.blit next 0 t.states 0 n;
     t.delivered <- t.delivered + (2 * G.m t.g)
 
   (* the faulty path: crashed nodes neither send, receive, nor update
@@ -569,58 +575,17 @@ let round t ~label ~send ~recv =
 
 let round_count t ~label ~decide ~recv =
   match t with
-  | Boxed b ->
-      (* reference plane: execute the exact generic per-message path the
-         seed kernel ran, so the boxed backend stays the byte-for-byte
-         (and allocation-for-allocation) baseline *)
-      let g = Boxed_kernel.graph b in
-      let send v st =
-        if decide v st then
-          List.rev
-            (Nw_graphs.Multigraph.fold_incident g v ~init:[]
-               (fun acc _ e -> (e, ()) :: acc))
-        else []
-      in
-      let recv v st msgs = recv v st (List.length msgs) in
-      Boxed_kernel.round b ~label ~send ~recv
+  | Boxed b -> Boxed_kernel.round_count b ~label ~decide ~recv
   | Csr (_, c) -> Csr_kernel.round_count c ~label ~decide ~recv
 
 let round_exchange t ~label ~value ~recv =
   match t with
-  | Boxed b ->
-      (* reference plane: the exact generic per-message path, as with
-         round_count — the boxed backend stays the byte-for-byte (and
-         allocation-for-allocation) baseline. recv then consumes the
-         inbox in generic arrival order, not incidence order; the
-         primitive's contract already requires order-insensitivity, and
-         the cross-plane differentials pin the outcome. *)
-      let g = Boxed_kernel.graph b in
-      let send v st =
-        let x = value v st in
-        List.rev
-          (Nw_graphs.Multigraph.fold_incident g v ~init:[] (fun acc _ e ->
-               (e, x) :: acc))
-      in
-      let recv v st msgs =
-        recv v st (fun f -> List.iter (fun (e, x) -> f e x) msgs)
-      in
-      Boxed_kernel.round b ~label ~send ~recv
+  | Boxed b -> Boxed_kernel.round_exchange b ~label ~value ~recv
   | Csr (_, c) -> Csr_kernel.round_exchange c ~label ~value ~recv
 
 let round_exchange_edges t ~label ~value ~recv =
   match t with
-  | Boxed b ->
-      (* reference plane: generic per-message path, as above *)
-      let g = Boxed_kernel.graph b in
-      let send v st =
-        List.rev
-          (Nw_graphs.Multigraph.fold_incident g v ~init:[] (fun acc _ e ->
-               (e, value v st e) :: acc))
-      in
-      let recv v st msgs =
-        recv v st (fun f -> List.iter (fun (e, x) -> f e x) msgs)
-      in
-      Boxed_kernel.round b ~label ~send ~recv
+  | Boxed b -> Boxed_kernel.round_exchange_edges b ~label ~value ~recv
   | Csr (_, c) -> Csr_kernel.round_exchange_edges c ~label ~value ~recv
 
 let messages_delivered = function

@@ -73,7 +73,7 @@ val with_faults : faults -> (unit -> 'a) -> 'a * fault_stats
 (** {2 The generic kernel}
 
     The kernel itself is a functor over the {!Nw_graphs.Graph_sig.GRAPH}
-    data plane: the same round semantics run on the boxed reference plane
+    data plane: the same round semantics run on the boxed plane
     ([Multigraph]) or the compact CSR plane ([Csr]), byte-identically.
     Rounds additionally shard across [Dpool.available ()] domains (captured
     at creation) with a deterministic mailbox merge, so results are
@@ -118,9 +118,10 @@ module Make (G : Nw_graphs.Graph_sig.GRAPH) : sig
       edge; [recv v st iter] consumes the inbox through [iter f], which
       calls [f edge msg] once per incident edge of [v] — in [v]'s own
       incidence order, identical on both planes by the CSR order
-      contract — without materializing message lists. Accounting matches
-      {!round}: 2m deliveries, one round charged. Under a fault context
-      the canonical per-message path runs instead and [iter] follows the
+      contract — without materializing message lists. Semantically
+      {!round} with the synthesised send/recv; accounting matches it:
+      2m deliveries, one round charged. Under a fault context the
+      canonical per-message path runs instead and [iter] follows the
       (fault-scheduled) inbox order, so [recv] must not depend on
       message order beyond edge identity. *)
   val round_exchange :
@@ -132,10 +133,10 @@ module Make (G : Nw_graphs.Graph_sig.GRAPH) : sig
 
   (** Like {!round_exchange} but the broadcast value may depend on the
       edge it crosses ([value v st e]) — the concurrent multi-forest
-      Cole–Vishkin shape. Contract: [value] must be {e pure over the
-      round} — it must not observe anything [recv] changes (state or
-      shared mutable data), so the kernel is free to evaluate it before
-      or during delivery. The streamed path exploits this by computing
+      Cole–Vishkin shape. [value] always sees the sender's pre-round
+      state. Contract: [value] must not read shared mutable data that
+      [recv] writes, so the kernel is free to evaluate it before or
+      during delivery. The streamed path exploits this by computing
       each message at its receiver with no per-round edge-sized
       scratch. *)
   val round_exchange_edges :
@@ -163,8 +164,8 @@ end
     What the algorithms use. [create] consults {!Nw_graphs.Backend.default}:
     on [Boxed] the net runs on the graph as given; on [Csr] the graph is
     converted once and the rounds run on the compact plane ([graph] still
-    returns the original). Either way the observable behavior is
-    byte-identical. *)
+    returns the original). Either way every round primitive runs the
+    same kernel code and the observable behavior is byte-identical. *)
 
 type ('state, 'msg) t
 
@@ -201,8 +202,7 @@ val round :
   unit
 
 (** Payload-free all-incident broadcast round; see {!Make.round_count}.
-    On the boxed backend this executes the exact generic per-message path
-    (the reference baseline); on CSR it streams the adjacency plane. *)
+    Streams the adjacency of either plane. *)
 val round_count :
   ('state, unit) t ->
   label:string ->
@@ -210,12 +210,10 @@ val round_count :
   recv:(int -> 'state -> int -> 'state) ->
   unit
 
-(** All-incident int broadcast; see {!Make.round_exchange}. As with
-    {!round_count}, the boxed backend executes the exact generic
-    per-message path (the reference baseline, [recv] seeing generic
-    arrival order); CSR streams the adjacency plane in incidence order.
-    [recv] must therefore be order-insensitive beyond edge identity —
-    which the primitive already requires for its fault fallback. *)
+(** All-incident int broadcast; see {!Make.round_exchange}. Streams the
+    adjacency of either plane in incidence order; [recv] must be
+    order-insensitive beyond edge identity, which the fault fallback's
+    scheduled inbox order requires anyway. *)
 val round_exchange :
   ('state, int) t ->
   label:string ->
@@ -224,8 +222,7 @@ val round_exchange :
   unit
 
 (** Edge-valued exchange; see {!Make.round_exchange_edges} for the
-    purity contract on [value]. Backend split as in {!round_exchange}:
-    boxed runs the generic per-message reference path, CSR streams. *)
+    contract on [value]. Streams either plane, as {!round_exchange}. *)
 val round_exchange_edges :
   ('state, int) t ->
   label:string ->

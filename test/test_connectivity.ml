@@ -9,6 +9,7 @@ module G = Nw_graphs.Multigraph
 module Gen = Nw_graphs.Generators
 module Coloring = Nw_decomp.Coloring
 module Verify = Nw_decomp.Verify
+module Backend = Nw_graphs.Backend
 
 let rng seed = Random.State.make [| seed; 0xcafe |]
 
@@ -213,8 +214,6 @@ let test_copy_preserves_cache_coherence () =
    final snapshot against a from-scratch DFS oracle and against each
    other. *)
 
-module Backend = Nw_graphs.Backend
-
 type dyn_op =
   | Insert of int * int
   | Delete of int  (** tombstone slot [i] *)
@@ -352,6 +351,197 @@ let prop_extend_connected_differential =
         Alcotest.fail "final snapshot differs boxed vs oracle";
       true)
 
+(* -------------------------------------------------------------------- *)
+(* bulk of_array vs the per-edge set construction                        *)
+(* -------------------------------------------------------------------- *)
+
+(* [of_array] links everything in one pass and leaves the per-color
+   union-find to the lazy rebuild; the per-edge [set] loop below is the
+   construction it replaced. Both must answer every query alike. *)
+let of_array_by_set g ~colors a =
+  let c = Coloring.create g ~colors in
+  Array.iteri (fun e col -> Option.iter (Coloring.set c e) col) a;
+  c
+
+let incident_order c v col =
+  let acc = ref [] in
+  Coloring.iter_colored_incident c v col (fun w e -> acc := (w, e) :: !acc);
+  List.rev !acc
+
+let check_same_coloring ctx a b =
+  let g = Coloring.graph a in
+  let k = Coloring.colors a in
+  if Coloring.to_array a <> Coloring.to_array b then
+    Alcotest.failf "%s: to_array differs" ctx;
+  for col = 0 to k - 1 do
+    for v = 0 to G.n g - 1 do
+      if incident_order a v col <> incident_order b v col then
+        Alcotest.failf "%s: iter_colored_incident order v=%d c=%d" ctx v col;
+      if Coloring.component_size a v col <> Coloring.component_size b v col
+      then Alcotest.failf "%s: component_size v=%d c=%d" ctx v col;
+      for u = 0 to G.n g - 1 do
+        if Coloring.connected a col u v <> Coloring.connected b col u v then
+          Alcotest.failf "%s: connected c=%d %d-%d" ctx col u v
+      done
+    done;
+    for e = 0 to G.m g - 1 do
+      let edge_set c = Option.map (List.sort compare) (Coloring.path c e col) in
+      if edge_set a <> edge_set b then
+        Alcotest.failf "%s: path edge set e=%d c=%d" ctx e col
+    done
+  done
+
+let prop_bulk_of_array =
+  QCheck.Test.make
+    ~name:"bulk of_array == per-edge set construction on both planes"
+    ~count:40 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let st = rng seed in
+      let n = 4 + Random.State.int st 12 in
+      let g = Gen.erdos_renyi st n 0.4 in
+      QCheck.assume (G.m g > 0);
+      let colors = 1 + Random.State.int st 4 in
+      let c = Coloring.create g ~colors in
+      for _ = 1 to 3 * G.m g do
+        random_op st c
+      done;
+      let a = Coloring.to_array c in
+      List.iter
+        (fun kind ->
+          Backend.with_kind kind @@ fun () ->
+          let bulk = Coloring.of_array g ~colors a in
+          check_same_coloring "bulk vs set" bulk (of_array_by_set g ~colors a);
+          check_same_coloring "copy vs set" (Coloring.copy bulk)
+            (of_array_by_set g ~colors a);
+          check_all_queries "bulk" bulk)
+        [ Backend.Boxed; Backend.Csr ];
+      true)
+
+(* a class with a cycle is refused, whichever color carries it and
+   however many clean classes come first *)
+let prop_bulk_of_array_rejects_cycles =
+  QCheck.Test.make ~name:"bulk of_array rejects a cyclic class"
+    ~count:40 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let st = rng seed in
+      let len = 3 + Random.State.int st 6 in
+      let colors = 1 + Random.State.int st 3 in
+      let bad = Random.State.int st colors in
+      (* a cycle colored [bad] *)
+      let g = Gen.cycle len in
+      let a = Array.make (G.m g) (Some bad) in
+      List.iter
+        (fun kind ->
+          Backend.with_kind kind @@ fun () ->
+          match Coloring.of_array g ~colors a with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.fail "cyclic class accepted")
+        [ Backend.Boxed; Backend.Csr ];
+      (* dropping one edge of the cycle makes it a path: accepted *)
+      a.(Random.State.int st (G.m g)) <- None;
+      ignore (Coloring.of_array g ~colors a);
+      true)
+
+(* -------------------------------------------------------------------- *)
+(* forest diameters against all-pairs BFS                                *)
+(* -------------------------------------------------------------------- *)
+
+(* naive diameter: BFS from every vertex over an adjacency list *)
+let naive_diameter n edges =
+  let adj = Array.make n [] in
+  List.iter
+    (fun (u, v) ->
+      adj.(u) <- v :: adj.(u);
+      adj.(v) <- u :: adj.(v))
+    edges;
+  let best = ref 0 in
+  for s = 0 to n - 1 do
+    let dist = Array.make n (-1) in
+    let q = Queue.create () in
+    dist.(s) <- 0;
+    Queue.add s q;
+    while not (Queue.is_empty q) do
+      let x = Queue.take q in
+      best := max !best dist.(x);
+      List.iter
+        (fun w ->
+          if dist.(w) < 0 then begin
+            dist.(w) <- dist.(x) + 1;
+            Queue.add w q
+          end)
+        adj.(x)
+    done
+  done;
+  !best
+
+(* random forest: each vertex but a few roots hangs below an earlier one *)
+let random_forest st n =
+  let perm = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- x
+  done;
+  List.filter_map
+    (fun i ->
+      if Random.State.int st 6 = 0 then None
+      else Some (perm.(Random.State.int st i), perm.(i)))
+    (List.init (n - 1) (fun i -> i + 1))
+
+let prop_tree_diameter =
+  QCheck.Test.make ~name:"tree_diameter == all-pairs BFS on random forests"
+    ~count:100 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let st = rng seed in
+      let n = 1 + Random.State.int st 25 in
+      let edges = random_forest st n in
+      let g = G.of_edges n edges in
+      let d = Nw_graphs.Traversal.tree_diameter g in
+      (* one more edge inside a tree closes a cycle *)
+      let cyclic =
+        match edges with
+        | (u, v) :: _ -> (
+            match
+              Nw_graphs.Traversal.tree_diameter (G.of_edges n ((u, v) :: edges))
+            with
+            | exception Invalid_argument _ -> true
+            | _ -> false)
+        | [] -> true
+      in
+      d = naive_diameter n edges && cyclic)
+
+let prop_max_forest_diameter =
+  QCheck.Test.make
+    ~name:"max_forest_diameter == all-pairs BFS per color class"
+    ~count:60 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let st = rng seed in
+      let n = 4 + Random.State.int st 14 in
+      let g = Gen.erdos_renyi st n 0.35 in
+      QCheck.assume (G.m g > 0);
+      let colors = 1 + Random.State.int st 4 in
+      List.for_all
+        (fun kind ->
+          Backend.with_kind kind @@ fun () ->
+          let c = Coloring.create g ~colors in
+          for _ = 1 to 3 * G.m g do
+            random_op st c
+          done;
+          let oracle =
+            List.fold_left max 0
+              (List.init colors (fun col ->
+                   naive_diameter n
+                     (List.filter_map
+                        (fun e ->
+                          if Coloring.color c e = Some col then
+                            Some (G.endpoints g e)
+                          else None)
+                        (List.init (G.m g) Fun.id))))
+          in
+          Verify.max_forest_diameter c = oracle)
+        [ Backend.Boxed; Backend.Csr ])
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -370,4 +560,7 @@ let () =
         [ prop_differential; prop_component_counts ];
       qsuite "dynamic"
         [ prop_extend_connected_differential ];
+      qsuite "bulk"
+        [ prop_bulk_of_array; prop_bulk_of_array_rejects_cycles ];
+      qsuite "diameter" [ prop_tree_diameter; prop_max_forest_diameter ];
     ]

@@ -254,6 +254,104 @@ let golden_round_count () =
     [ (Backend.Boxed, 2); (Backend.Csr, 1); (Backend.Csr, 2); (Backend.Csr, 4) ]
 
 (* ------------------------------------------------------------------ *)
+(* streamed rounds vs the generic per-message round                    *)
+(* ------------------------------------------------------------------ *)
+
+(* [round_count], [round_exchange] and [round_exchange_edges] stream the
+   adjacency on both planes. Each is specified as [round] driven by the
+   explicit all-incident send and the matching recv adapter; this oracle
+   runs exactly that per-message program beside the streamed one, on
+   random multigraphs, fault-free and under a fault plan. The recvs are
+   order-insensitive (a commutative sum), as the primitives require. *)
+let all_incident g v payload =
+  List.rev (G.fold_incident g v ~init:[] (fun acc _ e -> (e, payload e) :: acc))
+
+let iter_msgs msgs f = List.iter (fun (e, x) -> f e x) msgs
+
+let run_rounds g ~oracle =
+  let rounds = Rounds.create () in
+  let cnet = Net.create g ~rounds ~init:(fun v -> v) in
+  let xnet = Net.create g ~rounds ~init:(fun v -> v * 3) in
+  for r = 1 to 5 do
+    let decide v st = (st + v + r) mod 3 <> 0 in
+    let recv_count v st k = ((st * 7) + k + v) land 0xfffff in
+    if oracle then
+      Net.round cnet ~label:"count"
+        ~send:(fun v st -> if decide v st then all_incident g v ignore else [])
+        ~recv:(fun v st msgs -> recv_count v st (List.length msgs))
+    else Net.round_count cnet ~label:"count" ~decide ~recv:recv_count;
+    let gather st iter =
+      let acc = ref st in
+      iter (fun e x -> acc := !acc + (((e * 31) + x) land 0xffff));
+      !acc land 0xfffff
+    in
+    let value v st = (st + v + r) land 0xff in
+    if oracle then
+      Net.round xnet ~label:"exchange"
+        ~send:(fun v st -> all_incident g v (fun _ -> value v st))
+        ~recv:(fun _ st msgs -> gather st (iter_msgs msgs))
+    else
+      Net.round_exchange xnet ~label:"exchange" ~value
+        ~recv:(fun _ st iter -> gather st iter);
+    let value_e v st e = (st + (v * e) + r) land 0xff in
+    if oracle then
+      Net.round xnet ~label:"exchange-edges"
+        ~send:(fun v st -> all_incident g v (value_e v st))
+        ~recv:(fun _ st msgs -> gather st (iter_msgs msgs))
+    else
+      Net.round_exchange_edges xnet ~label:"exchange-edges" ~value:value_e
+        ~recv:(fun _ st iter -> gather st iter)
+  done;
+  ( Array.to_list (Net.states cnet) @ Array.to_list (Net.states xnet),
+    (Net.messages_delivered cnet, Net.messages_delivered xnet),
+    Rounds.ledger rounds )
+
+let chaos_plan n =
+  let spec =
+    Printf.sprintf "drop=0.15,dup=0.1x1,delay=0.1:2,reorder,restart=%d@3+2"
+      (n / 2)
+  in
+  match Nw_chaos.Plan.of_string spec with
+  | Ok p -> p
+  | Error msg -> failwith msg
+
+let run_rounds_under g ~backend ~chaos ~oracle =
+  Backend.with_kind backend @@ fun () ->
+  if not chaos then (run_rounds g ~oracle, None)
+  else
+    let faults =
+      match Nw_chaos.Inject.compile (chaos_plan (G.n g)) ~seed:11 () with
+      | Some f -> f
+      | None -> assert false
+    in
+    let result, stats = Net.with_faults faults (fun () -> run_rounds g ~oracle) in
+    (result, Some (stats.Net.digest, stats.Net.restarts))
+
+let prop_streamed_rounds_match_generic =
+  QCheck.Test.make
+    ~name:"streamed rounds == generic round with per-message send/recv"
+    ~count:60 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let st = rng seed in
+      let n = 2 + Random.State.int st 30 in
+      let g = G.of_edges n (random_edges st n (Random.State.int st 90)) in
+      List.for_all
+        (fun (backend, chaos) ->
+          let streamed = run_rounds_under g ~backend ~chaos ~oracle:false in
+          let generic = run_rounds_under g ~backend ~chaos ~oracle:true in
+          if streamed <> generic then
+            QCheck.Test.fail_reportf "mismatch on %s%s"
+              (Backend.to_string backend)
+              (if chaos then " under faults" else "")
+          else true)
+        [
+          (Backend.Boxed, false);
+          (Backend.Csr, false);
+          (Backend.Boxed, true);
+          (Backend.Csr, true);
+        ])
+
+(* ------------------------------------------------------------------ *)
 (* adversarial-scheduling merge determinism                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -342,6 +440,7 @@ let () =
           Alcotest.test_case "round_count across backends/domains" `Quick
             golden_round_count;
         ] );
+      qsuite "streamed-rounds" [ prop_streamed_rounds_match_generic ];
       qsuite "adversarial" [ prop_adversarial_merge ];
       ( "adversarial-pipeline",
         [
