@@ -45,10 +45,8 @@ let verify_h g (hp : H.t) =
       bad := Some (Printf.sprintf "vertex %d unassigned" v)
     else begin
       let up =
-        Array.fold_left
-          (fun acc (w, _) ->
+        G.fold_incident g v ~init:0 (fun acc w _ ->
             if hp.H.layer.(w) >= hp.H.layer.(v) then acc + 1 else acc)
-          0 (G.incident g v)
       in
       if up > hp.H.threshold && !bad = None then
         bad := Some (Printf.sprintf "vertex %d: %d > t=%d" v up hp.H.threshold)

@@ -32,10 +32,8 @@ let verify_h g (hp : H.t) =
       let bad = ref None in
       for v = 0 to n - 1 do
         let up =
-          Array.fold_left
-            (fun acc (w, _) ->
+          G.fold_incident g v ~init:0 (fun acc w _ ->
               if hp.H.layer.(w) >= hp.H.layer.(v) then acc + 1 else acc)
-            0 (G.incident g v)
         in
         if up > hp.H.threshold && !bad = None then bad := Some (v, up)
       done;

@@ -13,6 +13,17 @@ module Verify = Nw_decomp.Verify
 
 let rng seed = Random.State.make [| seed; 0xbead |]
 
+(* short hash of the checked-out commit, stamped into BENCH records;
+   None outside a git checkout *)
+let git_commit () =
+  try
+    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+    let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> (match line with Some "" -> None | l -> l)
+    | _ -> None
+  with _ -> None
+
 (* ------------------------------------------------------------------ *)
 (* round attribution                                                   *)
 (* ------------------------------------------------------------------ *)

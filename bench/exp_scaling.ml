@@ -10,123 +10,104 @@
 
 open Exp_common
 module FA = Nw_core.Forest_algo
-module Backend = Nw_graphs.Backend
 module Dpool = Nw_localsim.Dpool
 
 (* ------------------------------------------------------------------ *)
-(* data-plane throughput sweep                                         *)
+(* throughput sweeps                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The same H-partition peel, on large forest-union instances (the top
-   size is 10^7 edges), under each (backend, domains) configuration. The
-   peel is the message-dense inner loop of the whole pipeline: every
-   round is an all-incident counting broadcast, so edges/sec here is the
-   data plane's streaming rate. Every configuration must produce the
-   byte-identical layer array — the sweep aborts otherwise — making the
-   table a differential test that happens to be timed. *)
+(* Two timed workloads on forest-union instances (alpha = 8), each at
+   every domain count below: the H-partition peel alone (E15b) and the
+   whole engine-run hp-star pipeline (E15c). At the top size, 2 * 10^6
+   edges, the sweep peaks near 1.2 GB of heap (about 75 words per edge
+   in the hp-star run); 10^7 edges would need about 6 GB. Every
+   domain count must produce the output of the one-domain run (the sweep
+   aborts otherwise), making the tables a differential test that happens
+   to be timed. *)
 
-let throughput_configs =
-  [ (Backend.Boxed, 1); (Backend.Csr, 1); (Backend.Csr, 4) ]
+let throughput_domains = [ 1; 4 ]
+
+(* m = alpha * (n - 1): 10^6 and 2 * 10^6 edges *)
+let throughput_sizes = [ 125_001; 250_001 ]
 
 type leg = {
-  instance : string; (* which timed pipeline: "peel" or "hp-star" *)
+  instance : string; (* which timed workload: "peel" or "hp-star" *)
   n : int;
   edges : int;
-  backend : Backend.kind;
   domains : int;
   wall : float;
   eps : float; (* edges per second *)
 }
 
-let time_leg g ~alpha (backend, domains) =
-  Backend.with_kind backend @@ fun () ->
-  Dpool.with_domains domains @@ fun () ->
-  let rounds = Rounds.create () in
-  let t0 = Unix.gettimeofday () in
-  let hp =
-    Nw_core.H_partition.compute g ~epsilon:1.0 ~alpha_star:alpha ~rounds
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  (hp, wall)
-
-let throughput_sweep () =
-  section "E15b: data-plane throughput (H-partition peel, edges/sec)";
+(* [run g ~alpha] returns the output that must agree across domain
+   counts and the timed wall *)
+let sweep ~instance ~title run =
+  section title;
   let alpha = 8 in
   let legs =
     List.concat_map
       (fun n ->
-        let st = rng (15000 + n) in
-        let g = Gen.forest_union st n alpha in
-        let m = G.m g in
+        let g = Gen.forest_union (rng (15000 + n)) n alpha in
         let reference = ref None in
         List.map
-          (fun (backend, domains) ->
-            let hp, wall = time_leg g ~alpha (backend, domains) in
-            let layer = hp.Nw_core.H_partition.layer in
+          (fun domains ->
+            let output, wall =
+              Dpool.with_domains domains @@ fun () -> run g ~alpha
+            in
             (match !reference with
-            | None -> reference := Some layer
-            | Some ref_layer ->
-                Array.iteri
-                  (fun v l ->
-                    if l <> ref_layer.(v) then
-                      failwith
-                        (Printf.sprintf
-                           "throughput sweep: %s/%d diverges from the boxed \
-                            reference at vertex %d"
-                           (Backend.to_string backend) domains v))
-                  layer);
+            | None -> reference := Some output
+            | Some r ->
+                if output <> r then
+                  failwith
+                    (Printf.sprintf
+                       "%s sweep: %d domains diverge from 1 domain at n = %d"
+                       instance domains n));
+            let edges = G.m g in
             {
-              instance = "peel";
+              instance;
               n;
-              edges = m;
-              backend;
+              edges;
               domains;
               wall;
-              eps = float_of_int m /. wall;
+              eps = float_of_int edges /. wall;
             })
-          throughput_configs)
-      [ 125_001; 1_250_001 (* m = alpha * (n - 1): 10^6 and 10^7 edges *) ]
+          throughput_domains)
+      throughput_sizes
   in
-  let baseline_of leg =
-    List.find
-      (fun l -> l.n = leg.n && l.backend = Backend.Boxed && l.domains = 1)
-      legs
+  let one_domain leg =
+    List.find (fun l -> l.n = leg.n && l.domains = 1) legs
   in
-  table ~title:"H-partition peel throughput by data plane"
-    ~header:[ "n"; "edges"; "backend"; "domains"; "wall s"; "edges/sec"; "vs boxed" ]
+  table ~title:(instance ^ " throughput by domain count")
+    ~header:[ "n"; "edges"; "domains"; "wall s"; "edges/sec"; "vs 1 domain" ]
     ~rows:
       (List.map
          (fun leg ->
            [
              d leg.n;
              d leg.edges;
-             Backend.to_string leg.backend;
              d leg.domains;
              Printf.sprintf "%.3f" leg.wall;
              Printf.sprintf "%.3e" leg.eps;
-             Printf.sprintf "%.2fx" (leg.eps /. (baseline_of leg).eps);
+             Printf.sprintf "%.2fx" (leg.eps /. (one_domain leg).eps);
            ])
          legs);
-  note
-    "identical layer arrays were asserted across every configuration; the \
-     boxed leg streams the boxed (int * int) adjacency rows, csr the \
-     packed adjacency plane.";
   legs
 
-(* ------------------------------------------------------------------ *)
-(* full-pipeline throughput sweep                                      *)
-(* ------------------------------------------------------------------ *)
+(* The peel is the message-dense inner loop of the whole pipeline: every
+   round is an all-incident counting broadcast, so edges/sec here is the
+   adjacency streaming rate. *)
+let peel g ~alpha =
+  let rounds = Rounds.create () in
+  let t0 = Unix.gettimeofday () in
+  let hp =
+    Nw_core.H_partition.compute g ~epsilon:1.0 ~alpha_star:alpha ~rounds
+  in
+  (hp.Nw_core.H_partition.layer, Unix.gettimeofday () -. t0)
 
-(* The peel sweep above times one message kernel; this one times a whole
-   engine-run decomposition end to end — pass boundaries, artifact store,
-   orientation build, Cole–Vishkin star-forest realization and the final
-   verification all included — so edges/sec here is what a `forestd
-   decompose` caller actually sees per data plane. The pipeline is the
-   Theorem 2.1 chain (peel -> acyclic orientation -> 3t-star-forest),
-   whose cost is adjacency streaming rather than augmenting-path search:
-   the plane-bound regime the functorized core moves to CSR. Every
-   configuration must produce the byte-identical coloring. *)
-
+(* The whole Theorem 2.1 chain (peel -> acyclic orientation ->
+   3t-star-forest), engine-run: pass boundaries, artifact store,
+   orientation build and Cole–Vishkin star-forest realization included,
+   so edges/sec here is what a `forestd decompose` caller sees. *)
 let hp_star_pipeline ~alpha =
   let open Nw_engine in
   {
@@ -177,9 +158,7 @@ let hp_star_pipeline ~alpha =
       ];
   }
 
-let time_pipeline_leg g ~alpha (backend, domains) =
-  Backend.with_kind backend @@ fun () ->
-  Dpool.with_domains domains @@ fun () ->
+let hp_star g ~alpha =
   let open Nw_engine in
   let rounds = Rounds.create () in
   let rng = Random.State.make [| 0x5ca1e |] in
@@ -193,72 +172,9 @@ let time_pipeline_leg g ~alpha (backend, domains) =
   let coloring = Store.coloring store "coloring" in
   let wall = Unix.gettimeofday () -. t0 in
   (* verification is asserted but sits outside the timed window: it is
-     plane-independent post-hoc checking, not pipeline work *)
+     post-hoc checking, not pipeline work *)
   verified (Verify.star_forest_decomposition coloring) |> ignore;
-  (coloring, wall)
-
-let pipeline_sweep () =
-  section "E15c: full-pipeline throughput (engine-run hp-star, edges/sec)";
-  let alpha = 8 in
-  let legs =
-    List.concat_map
-      (fun n ->
-        let st = rng (15000 + n) in
-        let g = Gen.forest_union st n alpha in
-        let m = G.m g in
-        let reference = ref None in
-        List.map
-          (fun (backend, domains) ->
-            let coloring, wall = time_pipeline_leg g ~alpha (backend, domains) in
-            let colors = Nw_decomp.Coloring.to_array coloring in
-            (match !reference with
-            | None -> reference := Some colors
-            | Some ref_colors ->
-                if colors <> ref_colors then
-                  failwith
-                    (Printf.sprintf
-                       "pipeline sweep: %s/%d coloring diverges from the \
-                        boxed reference"
-                       (Backend.to_string backend) domains));
-            {
-              instance = "hp-star";
-              n;
-              edges = m;
-              backend;
-              domains;
-              wall;
-              eps = float_of_int m /. wall;
-            })
-          throughput_configs)
-      [ 125_001; 1_250_001 ]
-  in
-  let baseline_of leg =
-    List.find
-      (fun l -> l.n = leg.n && l.backend = Backend.Boxed && l.domains = 1)
-      legs
-  in
-  table ~title:"engine-run hp-star pipeline throughput by data plane"
-    ~header:
-      [ "n"; "edges"; "backend"; "domains"; "wall s"; "edges/sec"; "vs boxed" ]
-    ~rows:
-      (List.map
-         (fun leg ->
-           [
-             d leg.n;
-             d leg.edges;
-             Backend.to_string leg.backend;
-             d leg.domains;
-             Printf.sprintf "%.3f" leg.wall;
-             Printf.sprintf "%.3e" leg.eps;
-             Printf.sprintf "%.2fx" (leg.eps /. (baseline_of leg).eps);
-           ])
-         legs);
-  note
-    "end-to-end engine walls (passes and artifact store; verification \
-     asserted outside the timed window), byte-identical colorings \
-     asserted across every configuration; contrast with the kernel-only \
-     peel rows above.";
-  legs
+  (Nw_decomp.Coloring.to_array coloring, wall)
 
 (* BENCH_scaling.json: a valid nw-bench/2 record whose additive
    [throughput] field persists the sweep (schema: docs/benchmarking.md;
@@ -267,21 +183,19 @@ let write_json legs wall_s =
   let oc = open_out "BENCH_scaling.json" in
   let leg_json l =
     Printf.sprintf
-      "    { \"instance\": \"%s\", \"backend\": \"%s\", \"domains\": %d, \
-       \"n\": %d, \"edges\": %d, \"wall_s\": %.6f, \"edges_per_sec\": %.1f }"
-      l.instance
-      (Backend.to_string l.backend)
-      l.domains l.n l.edges l.wall l.eps
+      "    { \"instance\": \"%s\", \"domains\": %d, \"n\": %d, \
+       \"edges\": %d, \"wall_s\": %.6f, \"edges_per_sec\": %.1f }"
+      l.instance l.domains l.n l.edges l.wall l.eps
   in
   Printf.fprintf oc
     "{\n\
     \  \"schema\": \"nw-bench/2\",\n\
     \  \"exp\": \"scaling\",\n\
-    \  \"desc\": \"data-plane throughput sweep (H-partition peel)\",\n\
+    \  \"desc\": \"throughput sweep (H-partition peel, hp-star pipeline)\",\n\
     \  \"quick\": false,\n\
     \  \"domains\": %d,\n\
     \  \"env\": {\n\
-    \    \"backend\": \"%s\",\n\
+    \    \"git_commit\": %s,\n\
     \    \"hostname\": \"%s\",\n\
     \    \"ocaml_version\": \"%s\",\n\
     \    \"stamped_at\": %.0f\n\
@@ -296,7 +210,9 @@ let write_json legs wall_s =
     \  \"failed\": null\n\
      }\n"
     (List.fold_left (fun acc l -> max acc l.domains) 1 legs)
-    (Backend.to_string (Backend.default ()))
+    (match git_commit () with
+    | None -> "null"
+    | Some c -> Printf.sprintf "\"%s\"" c)
     (try Unix.gethostname () with _ -> "unknown")
     Sys.ocaml_version (Unix.time ()) wall_s
     (String.concat ",\n" (List.map leg_json legs));
@@ -353,7 +269,19 @@ let run () =
      dwarf BE's O(log n/eps): the trade Theorem 4.6 makes to reach \
      (1+eps)*alpha colors.";
   let t0 = Unix.gettimeofday () in
-  let legs = throughput_sweep () in
-  let legs = legs @ pipeline_sweep () in
+  let legs =
+    sweep ~instance:"peel"
+      ~title:"E15b: H-partition peel throughput (edges/sec)" peel
+  in
+  note "identical layer arrays were asserted across domain counts.";
+  let legs =
+    legs
+    @ sweep ~instance:"hp-star"
+        ~title:"E15c: engine-run hp-star pipeline throughput (edges/sec)"
+        hp_star
+  in
+  note
+    "end-to-end engine walls (verification asserted outside the timed \
+     window); identical colorings asserted across domain counts.";
   if !Exp_common.json_enabled then
     write_json legs (Unix.gettimeofday () -. t0)

@@ -20,8 +20,7 @@ let of_forest_decomposition coloring =
         Queue.add v0 q;
         while not (Queue.is_empty q) do
           let u = Queue.take q in
-          Array.iter
-            (fun (w, fe) ->
+          G.iter_incident forest u (fun w fe ->
               if depth.(w) < 0 then begin
                 depth.(w) <- depth.(u) + 1;
                 (* the edge's upper endpoint is u; its parity picks the
@@ -29,7 +28,6 @@ let of_forest_decomposition coloring =
                 Coloring.set out femap.(fe) ((2 * c) + (depth.(u) mod 2));
                 Queue.add w q
               end)
-            (G.incident forest u)
         done
       end
     done
@@ -63,10 +61,8 @@ let star_arboricity_brute g =
              degree rise: such an edge (u, w) breaks iff deg w >= 2 *)
           let breaks_at x dx =
             dx >= 2
-            && Array.exists
-                 (fun (w, e') ->
-                   e' <> e && assign.(e') = c && deg.(c).(w) >= 2)
-                 (G.incident g x)
+            && G.fold_incident g x ~init:false (fun acc w e' ->
+                   acc || (e' <> e && assign.(e') = c && deg.(c).(w) >= 2))
           in
           (not (breaks_at u du)) && not (breaks_at v dv)
         end

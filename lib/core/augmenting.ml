@@ -12,12 +12,10 @@ type search_stats = {
 
 type outcome = Found of sequence * search_stats | Stalled of search_stats
 
-(* Algorithm 1 is plane-generic: it reads the graph only through
+(* Algorithm 1 is generic over the graph: it reads it only through
    n/m/src/dst and drives everything else through the coloring's path and
-   color queries. [Make] instantiates the search per plane so the hot
-   per-edge loop of Forest_algo runs with zero per-operation dispatch;
-   the top-level API below dispatches once on the coloring's arm,
-   mirroring the Coloring/Msg_net shape. *)
+   color queries. [Make] is applied once, to Multigraph and Coloring, at
+   the bottom of this file. *)
 
 module type CORE = sig
   type coloring
@@ -284,52 +282,4 @@ struct
         Some stats
 end
 
-(* ------------------------------------------------------------------ *)
-(* backend dispatch                                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Boxed_core = Make (Nw_graphs.Multigraph) (Coloring.Boxed)
-module Csr_core = Make (Nw_graphs.Csr) (Coloring.Csr_backed)
-
-(* A scratch is plane-specific (it is sized from the plane's graph), so
-   the dispatched scratch remembers its arm; mixing arms is a programming
-   error reported as Invalid_argument. *)
-type scratch = Sb of Boxed_core.scratch | Sk of Csr_core.scratch
-
-let scratch (col : Coloring.t) =
-  match col with
-  | Coloring.Boxed b -> Sb (Boxed_core.scratch b)
-  | Coloring.Csr (_, k) -> Sk (Csr_core.scratch k)
-
-let plane_mismatch fn =
-  invalid_arg (Printf.sprintf "Augmenting.%s: scratch from the other backend" fn)
-
-let search (col : Coloring.t) palette ~start ?within ?scratch () =
-  match (col, scratch) with
-  | Coloring.Boxed b, None -> Boxed_core.search b palette ~start ?within ()
-  | Coloring.Boxed b, Some (Sb sc) ->
-      Boxed_core.search b palette ~start ?within ~scratch:sc ()
-  | Coloring.Csr (_, k), None -> Csr_core.search k palette ~start ?within ()
-  | Coloring.Csr (_, k), Some (Sk sc) ->
-      Csr_core.search k palette ~start ?within ~scratch:sc ()
-  | _ -> plane_mismatch "search"
-
-let short_circuit (col : Coloring.t) seq =
-  match col with
-  | Coloring.Boxed b -> Boxed_core.short_circuit b seq
-  | Coloring.Csr (_, k) -> Csr_core.short_circuit k seq
-
-let apply (col : Coloring.t) seq =
-  match col with
-  | Coloring.Boxed b -> Boxed_core.apply b seq
-  | Coloring.Csr (_, k) -> Csr_core.apply k seq
-
-let augment_edge (col : Coloring.t) palette ~edge ?within ?scratch () =
-  match (col, scratch) with
-  | Coloring.Boxed b, None -> Boxed_core.augment_edge b palette ~edge ?within ()
-  | Coloring.Boxed b, Some (Sb sc) ->
-      Boxed_core.augment_edge b palette ~edge ?within ~scratch:sc ()
-  | Coloring.Csr (_, k), None -> Csr_core.augment_edge k palette ~edge ?within ()
-  | Coloring.Csr (_, k), Some (Sk sc) ->
-      Csr_core.augment_edge k palette ~edge ?within ~scratch:sc ()
-  | _ -> plane_mismatch "augment_edge"
+include Make (Nw_graphs.Multigraph) (Coloring)

@@ -47,11 +47,10 @@ let create g rule ~epsilon ~alpha ~radius ~num_classes ~rng ~rounds =
   in
   { state; rng; rounds }
 
-(* The rule bodies are plane-generic: they read the graph only through
+(* The rule bodies are generic over the graph: they read it only through
    n/m/src/dst/degree/iter_incident plus [subgraph_of_edges] (depth-mod's
-   per-color trees), and take it from the coloring itself, so they run
-   directly on whichever plane the coloring was created on. [execute]
-   below dispatches once per call on the coloring's arm. *)
+   per-color trees), and take it from the coloring itself. [Rules] is
+   applied once, to Multigraph and Coloring, below. *)
 module Rules
     (Gr : Nw_graphs.Graph_sig.GRAPH_EXT)
     (C : Coloring.S with type graph = Gr.t) =
@@ -179,12 +178,10 @@ struct
     !ok
 end
 
-module Boxed_rules = Rules (Nw_graphs.Multigraph) (Coloring.Boxed)
-module Csr_rules = Rules (Nw_graphs.Csr) (Coloring.Csr_backed)
+include Rules (Nw_graphs.Multigraph) (Coloring)
 
-(* Diam-reduce delegates to Diameter_reduction, which operates on the
-   dispatched coloring API (it is a cold, whole-region pass); the other
-   rules dispatch here and stay on one plane throughout. *)
+(* Diam-reduce delegates to Diameter_reduction (a cold, whole-region
+   pass over the coloring). *)
 let execute_diam_reduce t coloring ~core ~region ~removed ~epsilon' ~alpha =
   let g = Coloring.graph coloring in
   let eligible e =
@@ -213,29 +210,14 @@ let execute t coloring ~core ~region ~removed =
       ignore core;
       ignore region;
       ignore removed
-  | S_depth_mod { n_mod } -> (
-      match coloring with
-      | Coloring.Boxed b ->
-          Boxed_rules.execute_depth_mod ~rng:t.rng ~rounds:t.rounds b ~core
-            ~region ~removed ~n_mod
-      | Coloring.Csr (_, k) ->
-          Csr_rules.execute_depth_mod ~rng:t.rng ~rounds:t.rounds k ~core
-            ~region ~removed ~n_mod)
+  | S_depth_mod { n_mod } ->
+      execute_depth_mod ~rng:t.rng ~rounds:t.rounds coloring ~core ~region
+        ~removed ~n_mod
   | S_diam_reduce { epsilon'; alpha } ->
       execute_diam_reduce t coloring ~core ~region ~removed ~epsilon' ~alpha
-  | S_sampled { orientation; counters; cap; p } -> (
-      match coloring with
-      | Coloring.Boxed b ->
-          Boxed_rules.execute_sampled ~rng:t.rng ~rounds:t.rounds b ~core
-            ~region ~removed ~orientation ~counters ~cap ~p
-      | Coloring.Csr (_, k) ->
-          Csr_rules.execute_sampled ~rng:t.rng ~rounds:t.rounds k ~core
-            ~region ~removed ~orientation ~counters ~cap ~p)
-
-let is_good coloring ~core ~region =
-  match coloring with
-  | Coloring.Boxed b -> Boxed_rules.is_good b ~core ~region
-  | Coloring.Csr (_, k) -> Csr_rules.is_good k ~core ~region
+  | S_sampled { orientation; counters; cap; p } ->
+      execute_sampled ~rng:t.rng ~rounds:t.rounds coloring ~core ~region
+        ~removed ~orientation ~counters ~cap ~p
 
 let sampling_probability t =
   match t.state with S_sampled { p; _ } -> Some p | _ -> None

@@ -55,23 +55,18 @@ let default_radii ~n ~epsilon ~alpha ~max_degree ~cut =
 let check_epsilon epsilon =
   if epsilon <= 0.0 then invalid_arg "Forest_algo: epsilon <= 0"
 
-(* The CUT + augmentation phase is plane-generic: balls, edge scans and
-   the per-edge augmenting searches all run on whichever plane [g] is,
-   through the matching Coloring and Augmenting instances. Only two
-   things stay on the dispatched (boxed-carrying) API, threaded in as
-   closures so the span tree and the RNG draw order are byte-identical
-   to the pre-functor code: [make_cut] (Cut.create needs the boxed graph
-   for the Sampled rule's H-partition, and must run inside the
-   "forest_algo" span so its own spans/round charges attach there) and
-   [wrap] (Cut.execute/is_good take the dispatched coloring; wrapping
-   shares the underlying plane instance, so rule-body mutations land in
-   [coloring] directly). *)
+(* The CUT + augmentation phase reads the graph through GRAPH_EXT and
+   the coloring through Coloring.S, applied once below to Multigraph.
+   CUT itself works on the concrete Coloring.t, hence the type equation.
+   [make_cut] is a closure so that Cut.create (the Sampled rule's
+   H-partition) runs inside the "forest_algo" span, where its own spans
+   and round charges attach. *)
 module Core
     (Gr : Nw_graphs.Graph_sig.GRAPH_EXT)
-    (C : Coloring.S with type graph = Gr.t)
+    (C : Coloring.S with type graph = Gr.t and type t = Coloring.t)
     (A : Augmenting.CORE with type coloring = C.t) =
 struct
-  let partial_color g palette ~make_cut ~wrap ~radii ~nd ~rounds =
+  let partial_color g palette ~make_cut ~radii ~nd ~rounds =
     Obs.span "forest_algo" @@ fun () ->
     let r, r' = radii in
     let d = r + r' in
@@ -79,7 +74,6 @@ struct
     let cut_state = make_cut () in
     let removed = Array.make m false in
     let coloring = C.create g ~colors:(Palette.color_space palette) in
-    let pub = wrap coloring in
     let scratch = A.scratch coloring in
     let good_cuts = ref 0 and bad_cuts = ref 0 and stalls = ref 0 in
     let max_seq = ref 0 and max_explored = ref 0 and max_iters = ref 0 in
@@ -93,8 +87,8 @@ struct
             let core = Gr.ball_of_set g members r' in
             let region = Gr.ball_of_set g members d in
             Obs.count "forest_algo.clusters";
-            Cut.execute cut_state pub ~core ~region ~removed;
-            if Cut.is_good pub ~core ~region then incr good_cuts
+            Cut.execute cut_state coloring ~core ~region ~removed;
+            if Cut.is_good coloring ~core ~region then incr good_cuts
             else incr bad_cuts;
             let in_cluster = Array.make n false in
             List.iter (fun v -> in_cluster.(v) <- true) members;
@@ -151,10 +145,7 @@ struct
     (coloring, removed, stats)
 end
 
-module Boxed_core =
-  Core (Nw_graphs.Multigraph) (Coloring.Boxed) (Augmenting.Boxed_core)
-
-module Csr_core = Core (Nw_graphs.Csr) (Coloring.Csr_backed) (Augmenting.Csr_core)
+module Mg = Core (Nw_graphs.Multigraph) (Coloring) (Augmenting)
 
 let partial_color g palette ~epsilon ~alpha ~cut ~radii ~nd ~rng ~rounds =
   check_epsilon epsilon;
@@ -163,23 +154,7 @@ let partial_color g palette ~epsilon ~alpha ~cut ~radii ~nd ~rng ~rounds =
     Cut.create g cut ~epsilon ~alpha ~radius:r
       ~num_classes:nd.Net_decomp.num_classes ~rng ~rounds
   in
-  (* dispatch once per run — the whole phase then stays on one plane *)
-  match Nw_graphs.Backend.default () with
-  | Nw_graphs.Backend.Boxed ->
-      let coloring, removed, stats =
-        Boxed_core.partial_color g palette ~make_cut
-          ~wrap:(fun b -> Coloring.Boxed b)
-          ~radii ~nd ~rounds
-      in
-      (Coloring.Boxed coloring, removed, stats)
-  | Nw_graphs.Backend.Csr ->
-      let plane = Nw_graphs.Csr.of_multigraph g in
-      let coloring, removed, stats =
-        Csr_core.partial_color plane palette ~make_cut
-          ~wrap:(fun k -> Coloring.Csr (g, k))
-          ~radii ~nd ~rounds
-      in
-      (Coloring.Csr (g, coloring), removed, stats)
+  Mg.partial_color g palette ~make_cut ~radii ~nd ~rounds
 
 let decompose_with_leftover g palette ~epsilon ~alpha ~cut ~radii ~rng ~rounds
     =

@@ -27,7 +27,7 @@ let compute g ~epsilon ~alpha_star ~rounds =
      joining at iteration [i] counts neighbors joining simultaneously, which
      matches "at most t neighbors in H_i ∪ ... ∪ H_k". *)
   (* a peeling announcement carries no payload, so the round is a
-     counting broadcast: on either plane it streams the adjacency with
+     counting broadcast: it streams the adjacency rows with
      zero per-message allocation (under a fault context the kernel
      falls back to its per-message path) *)
   let iteration i =

@@ -72,8 +72,9 @@ let layered_color g palette ~hp ~orientation ~nd ~rounds =
     in
     List.iter forbid (O.out_edges orientation u);
     List.iter forbid (O.out_edges orientation v);
-    Array.iter (fun (_, e') -> if min_layer e' = min_layer e then forbid e') (G.incident g u);
-    Array.iter (fun (_, e') -> if min_layer e' = min_layer e then forbid e') (G.incident g v);
+    let forbid_same_layer _ e' = if min_layer e' = min_layer e then forbid e' in
+    G.iter_incident g u forbid_same_layer;
+    G.iter_incident g v forbid_same_layer;
     let rec pick = function
       | [] -> invalid_arg "Lsfd.distributed: residual palette exhausted"
       | c :: rest -> if Hashtbl.mem forbidden c then pick rest else c

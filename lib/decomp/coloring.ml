@@ -4,9 +4,7 @@ module Obs = Nw_obs.Obs
 
 (* Process-wide instrumentation of the connectivity layer. Atomic so that
    parallel bench domains can share them; the bench harness snapshots
-   before/after each experiment and reports deltas in BENCH_*.json. Both
-   functor instances below count into the same cells — the counters
-   describe the algorithm, not the data plane. *)
+   before/after each experiment and reports deltas in BENCH_*.json. *)
 module Counters = struct
   let uf_queries = Atomic.make 0
   let bfs_runs = Atomic.make 0
@@ -22,12 +20,11 @@ module Counters = struct
     }
 end
 
-(* The cache itself is plane-generic: every structure below is keyed by
+(* The cache is generic over the graph: every structure below is keyed by
    vertex ids, edge ids and node ids [2e + slot], and the only graph
    operations it needs are [n]/[m]/[src]/[dst] (plus [subgraph_of_edges]
-   for per-color extraction). [Make] builds it over any GRAPH_EXT; the
-   public [t] at the bottom of this file dispatches once per coloring
-   between the two instances, exactly like [Msg_net]. *)
+   for per-color extraction). [Make] builds it over any GRAPH_EXT; it is
+   applied once, to Multigraph, at the bottom of this file. *)
 
 module type S = sig
   type graph
@@ -671,131 +668,4 @@ module Make (G : Nw_graphs.Graph_sig.GRAPH_EXT) :
     G.subgraph_of_edges t.g keep
 end
 
-(* ------------------------------------------------------------------ *)
-(* backend dispatch                                                    *)
-(* ------------------------------------------------------------------ *)
-
-module MG = Nw_graphs.Multigraph
-module Boxed = Make (Nw_graphs.Multigraph)
-module Csr_backed = Make (Nw_graphs.Csr)
-
-(* The public coloring is the PR 6 dispatch shape: pick the plane ONCE
-   when the coloring is created (from [Backend.default ()]), and keep the
-   boxed source graph alongside the CSR instance so artifacts,
-   checkpoints and derived Multigraphs stay backend-agnostic. Both
-   instances run the identical op sequence over identical iteration
-   orders, so every observable — colors, paths, counters — is
-   byte-identical across the two arms. *)
-type t = Boxed of Boxed.t | Csr of MG.t * Csr_backed.t
-
-let create g ~colors =
-  match Nw_graphs.Backend.default () with
-  | Nw_graphs.Backend.Boxed -> Boxed (Boxed.create g ~colors)
-  | Nw_graphs.Backend.Csr ->
-      Csr (g, Csr_backed.create (Nw_graphs.Csr.of_multigraph g) ~colors)
-
-let graph = function Boxed b -> Boxed.graph b | Csr (g, _) -> g
-let colors = function Boxed b -> Boxed.colors b | Csr (_, k) -> Csr_backed.colors k
-
-let color t e =
-  match t with Boxed b -> Boxed.color b e | Csr (_, k) -> Csr_backed.color k e
-
-let colored_count = function
-  | Boxed b -> Boxed.colored_count b
-  | Csr (_, k) -> Csr_backed.colored_count k
-
-let uncolored = function
-  | Boxed b -> Boxed.uncolored b
-  | Csr (_, k) -> Csr_backed.uncolored k
-
-let iter_uncolored f = function
-  | Boxed b -> Boxed.iter_uncolored f b
-  | Csr (_, k) -> Csr_backed.iter_uncolored f k
-
-let would_close_cycle t e c =
-  match t with
-  | Boxed b -> Boxed.would_close_cycle b e c
-  | Csr (_, k) -> Csr_backed.would_close_cycle k e c
-
-let oracle_would_close_cycle t e c =
-  match t with
-  | Boxed b -> Boxed.oracle_would_close_cycle b e c
-  | Csr (_, k) -> Csr_backed.oracle_would_close_cycle k e c
-
-let set t e c =
-  match t with
-  | Boxed b -> Boxed.set b e c
-  | Csr (_, k) -> Csr_backed.set k e c
-
-let unset t e =
-  match t with Boxed b -> Boxed.unset b e | Csr (_, k) -> Csr_backed.unset k e
-
-let path t e c =
-  match t with
-  | Boxed b -> Boxed.path b e c
-  | Csr (_, k) -> Csr_backed.path k e c
-
-let component_edges t v c =
-  match t with
-  | Boxed b -> Boxed.component_edges b v c
-  | Csr (_, k) -> Csr_backed.component_edges k v c
-
-let component_size t v c =
-  match t with
-  | Boxed b -> Boxed.component_size b v c
-  | Csr (_, k) -> Csr_backed.component_size k v c
-
-let component_edge_count t v c =
-  match t with
-  | Boxed b -> Boxed.component_edge_count b v c
-  | Csr (_, k) -> Csr_backed.component_edge_count k v c
-
-let colored_incident t v c =
-  match t with
-  | Boxed b -> Boxed.colored_incident b v c
-  | Csr (_, k) -> Csr_backed.colored_incident k v c
-
-let iter_colored_incident t v c f =
-  match t with
-  | Boxed b -> Boxed.iter_colored_incident b v c f
-  | Csr (_, k) -> Csr_backed.iter_colored_incident k v c f
-
-let to_array = function
-  | Boxed b -> Boxed.to_array b
-  | Csr (_, k) -> Csr_backed.to_array k
-
-let of_array g ~colors a =
-  match Nw_graphs.Backend.default () with
-  | Nw_graphs.Backend.Boxed -> Boxed (Boxed.of_array g ~colors a)
-  | Nw_graphs.Backend.Csr ->
-      Csr (g, Csr_backed.of_array (Nw_graphs.Csr.of_multigraph g) ~colors a)
-
-let copy = function
-  | Boxed b -> Boxed (Boxed.copy b)
-  | Csr (g, k) -> Csr (g, Csr_backed.copy k)
-
-let extend t g' =
-  match t with
-  | Boxed b -> Boxed (Boxed.extend b g')
-  | Csr (_, k) ->
-      Csr (g', Csr_backed.extend k (Nw_graphs.Csr.of_multigraph g'))
-
-let connected t c u v =
-  match t with
-  | Boxed b -> Boxed.connected b c u v
-  | Csr (_, k) -> Csr_backed.connected k c u v
-
-(* Derived Multigraphs stay boxed on both arms (they feed passes and
-   artifacts that archive them); the CSR arm extracts through the boxed
-   source it carries, with the identical keep mask and therefore the
-   identical renumbering. *)
-let subgraph t c =
-  match t with
-  | Boxed b -> Boxed.subgraph b c
-  | Csr (g, k) ->
-      let keep =
-        Array.map
-          (function Some c' -> c' = c | None -> false)
-          (Csr_backed.to_array k)
-      in
-      MG.subgraph_of_edges g keep
+include Make (Nw_graphs.Multigraph)

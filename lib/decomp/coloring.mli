@@ -17,181 +17,135 @@
     connected pair) and as the differential-testing oracle
     ({!oracle_would_close_cycle}).
 
-    The cache is plane-generic: {!Make} builds it over any
-    {!Nw_graphs.Graph_sig.GRAPH_EXT}, and the top-level [t] dispatches
-    once per coloring between the {!Boxed} and {!Csr_backed} instances
-    according to [Nw_graphs.Backend.default ()] — the same shape as the
-    message-passing kernel. Both instances are byte-identical in every
-    observable; the choice is purely a memory-layout knob.
+    {!Make} builds the cache over any {!Nw_graphs.Graph_sig.GRAPH_EXT};
+    this module is that cache over {!Nw_graphs.Multigraph}.
 
     Invariant (enforced on every {!set}): each color class is a forest. *)
 
-(** The plane-generic connectivity cache: the full coloring API over an
-    abstract graph type. [Augmenting], [Cut] and [Forest_algo] functorize
-    over this (paired with the matching [GRAPH_EXT]) so their hot loops
-    run directly on one plane with no per-operation dispatch. *)
+(** The connectivity cache over an abstract graph type. [Augmenting],
+    [Cut] and [Forest_algo] functorize over this (paired with the
+    matching [GRAPH_EXT]). *)
 module type S = sig
   type graph
   type t
 
+  (** [create g ~colors] is the empty partial coloring of [g]'s edges with
+      color space [0..colors-1]. *)
   val create : graph -> colors:int -> t
+
   val graph : t -> graph
   val colors : t -> int
+
   val color : t -> int -> int option
+
+  (** Number of currently colored edges. *)
   val colored_count : t -> int
+
+  (** [uncolored t] is the uncolored edge ids, ascending, in one freshly
+      allocated array of exactly the right size. *)
   val uncolored : t -> int array
+
+  (** [iter_uncolored f t] calls [f] on each uncolored edge id, ascending,
+      without allocating. *)
   val iter_uncolored : (int -> unit) -> t -> unit
+
+  (** [would_close_cycle t e c] holds when the endpoints of [e] are already
+      connected inside the color-[c] forest by edges other than [e].
+      O(α(n)) amortized via the per-color union-find; never runs a BFS. *)
   val would_close_cycle : t -> int -> int -> bool
+
+  (** Same question answered by bidirectional BFS, bypassing the union-find
+      cache entirely. Only for differential tests and benchmarks comparing
+      the cached and uncached predicates. *)
   val oracle_would_close_cycle : t -> int -> int -> bool
+
+  (** [set t e c] colors edge [e] with [c], first removing any previous color.
+      @raise Invalid_argument if this closes a cycle in color [c]. *)
   val set : t -> int -> int -> unit
+
+  (** [unset t e] removes the color of [e] (no-op when uncolored). *)
   val unset : t -> int -> unit
+
+  (** [path t e c] is [C(e, c)]: the edge-id path joining the endpoints
+      [u]–[v] of [e] inside the color-[c] forest, or [None] when they are
+      disconnected. If [e] itself is colored [c] the result is [Some [e]].
+      The disconnected case is decided in O(α(n)) without BFS; the
+      connected case is extracted from the maintained rooted forest in
+      O(path length), listed as the [u]-side half (from [u] towards the
+      meeting point) followed by the [v]-side half (from [v] towards it) —
+      consumers treat the result as an edge set. *)
   val path : t -> int -> int -> int list option
+
+  (** [component_edges t v c] lists the edges of the color-[c] tree containing
+      vertex [v] (empty when [v] is isolated in that color). *)
   val component_edges : t -> int -> int -> int list
+
+  (** [component_size t v c] is the number of vertices of the color-[c] tree
+      containing [v] (1 when isolated), from the union-find, in O(α(n)). *)
   val component_size : t -> int -> int -> int
+
+  (** [component_edge_count t v c] is the number of edges of that tree
+      (always [component_size - 1] while the forest invariant holds). *)
   val component_edge_count : t -> int -> int -> int
+
+  (** Per-vertex incident edges of one color: [(neighbor, edge)] list. *)
   val colored_incident : t -> int -> int -> (int * int) list
+
+  (** [iter_colored_incident t v c f] calls [f neighbor edge] for each
+      color-[c] edge at [v], most recently colored first, without
+      materializing a list. *)
   val iter_colored_incident : t -> int -> int -> (int -> int -> unit) -> unit
+
+  (** Snapshot of all edge colors ([None] = uncolored). Fresh array. *)
   val to_array : t -> int option array
+
+  (** [of_array g ~colors a] rebuilds a coloring from a snapshot in one
+      bulk pass: O(m + n) plus the per-color arrays, with no per-edge
+      cycle query.
+      The result answers every query exactly as [create] followed by
+      [set e c] for each colored edge in ascending edge order: same
+      {!to_array}, same {!iter_colored_incident} order, same
+      connectivity. The per-color union-find and rooted forest are built
+      lazily on a color's first connectivity query, so {!path} returns the
+      same edge set but may list it in another order, and
+      {!Counters} count fewer queries and rebuilds than that loop did.
+      @raise Invalid_argument if some class is not a forest or a color is
+      out of range. *)
   val of_array : graph -> colors:int -> int option array -> t
+
+  (** Deep copy, through the bulk {!of_array}. *)
   val copy : t -> t
+
+  (** [extend t g'] transplants a live coloring onto [g'], a supergraph of
+      [graph t] on the same vertex set whose first [m] edge ids carry the
+      same endpoints; the new edge ids start uncolored. The per-color
+      union-find and rooted spanning forests carry over untouched, so the
+      cost is the array copies — O(m' + colors·n) — never a re-union or a
+      BFS. This is the dynamic-graph entry point of the service layer: an
+      edge insertion extends the coloring, then probes colors with
+      {!connected} instead of re-running a decomposition.
+      @raise Invalid_argument when [g'] is not such a supergraph. *)
   val extend : t -> graph -> t
+
+  (** [connected t c u v]: are [u] and [v] connected inside the color-[c]
+      forest? O(α(n)) amortized via the per-color union-find. Coloring a
+      fresh [u]–[v] edge with [c] is safe iff [not (connected t c u v)].
+      @raise Invalid_argument on an out-of-range color or vertex. *)
   val connected : t -> int -> int -> int -> bool
+
+  (** [subgraph t c] is the color-[c] forest as a graph on all of [g]'s
+      vertices, with the map from new edge ids to original ids. *)
   val subgraph : t -> int -> graph * int array
 end
 
 module Make (G : Nw_graphs.Graph_sig.GRAPH_EXT) : S with type graph = G.t
 
-(** The two plane instances. [Boxed] is the reference; [Csr_backed] runs
-    the identical op sequence over the flat planes. *)
-module Boxed : S with type graph = Nw_graphs.Multigraph.t
-
-module Csr_backed : S with type graph = Nw_graphs.Csr.t
-
-(** The dispatched coloring. The CSR arm carries the boxed source graph
-    so that {!graph}, {!subgraph} and everything downstream (artifacts,
-    checkpoints, verifiers) stay [Multigraph]-typed regardless of plane.
-    The constructors are exposed so the functorized cores ([Augmenting],
-    [Cut], [Forest_algo]) can dispatch once and then stay inside one
-    plane; ordinary consumers never need to match on them. *)
-type t = Boxed of Boxed.t | Csr of Nw_graphs.Multigraph.t * Csr_backed.t
-
-(** [create g ~colors] is the empty partial coloring of [g]'s edges with
-    color space [0..colors-1], on the plane selected by
-    [Nw_graphs.Backend.default ()] at this moment (dispatch happens once,
-    here — never per operation). *)
-val create : Nw_graphs.Multigraph.t -> colors:int -> t
-
-val graph : t -> Nw_graphs.Multigraph.t
-val colors : t -> int
-
-val color : t -> int -> int option
-
-(** Number of currently colored edges. *)
-val colored_count : t -> int
-
-(** [uncolored t] is the uncolored edge ids, ascending, in one freshly
-    allocated array of exactly the right size. *)
-val uncolored : t -> int array
-
-(** [iter_uncolored f t] calls [f] on each uncolored edge id, ascending,
-    without allocating. *)
-val iter_uncolored : (int -> unit) -> t -> unit
-
-(** [would_close_cycle t e c] holds when the endpoints of [e] are already
-    connected inside the color-[c] forest by edges other than [e].
-    O(α(n)) amortized via the per-color union-find; never runs a BFS. *)
-val would_close_cycle : t -> int -> int -> bool
-
-(** Same question answered by bidirectional BFS, bypassing the union-find
-    cache entirely. Only for differential tests and benchmarks comparing
-    the cached and uncached predicates. *)
-val oracle_would_close_cycle : t -> int -> int -> bool
-
-(** [set t e c] colors edge [e] with [c], first removing any previous color.
-    @raise Invalid_argument if this closes a cycle in color [c]. *)
-val set : t -> int -> int -> unit
-
-(** [unset t e] removes the color of [e] (no-op when uncolored). *)
-val unset : t -> int -> unit
-
-(** [path t e c] is [C(e, c)]: the edge-id path joining the endpoints
-    [u]–[v] of [e] inside the color-[c] forest, or [None] when they are
-    disconnected. If [e] itself is colored [c] the result is [Some [e]].
-    The disconnected case is decided in O(α(n)) without BFS; the
-    connected case is extracted from the maintained rooted forest in
-    O(path length), listed as the [u]-side half (from [u] towards the
-    meeting point) followed by the [v]-side half (from [v] towards it) —
-    consumers treat the result as an edge set. *)
-val path : t -> int -> int -> int list option
-
-(** [component_edges t v c] lists the edges of the color-[c] tree containing
-    vertex [v] (empty when [v] is isolated in that color). *)
-val component_edges : t -> int -> int -> int list
-
-(** [component_size t v c] is the number of vertices of the color-[c] tree
-    containing [v] (1 when isolated), from the union-find, in O(α(n)). *)
-val component_size : t -> int -> int -> int
-
-(** [component_edge_count t v c] is the number of edges of that tree
-    (always [component_size - 1] while the forest invariant holds). *)
-val component_edge_count : t -> int -> int -> int
-
-(** Per-vertex incident edges of one color: [(neighbor, edge)] list. *)
-val colored_incident : t -> int -> int -> (int * int) list
-
-(** [iter_colored_incident t v c f] calls [f neighbor edge] for each
-    color-[c] edge at [v], most recently colored first, without
-    materializing a list. *)
-val iter_colored_incident : t -> int -> int -> (int -> int -> unit) -> unit
-
-(** Snapshot of all edge colors ([None] = uncolored). Fresh array. *)
-val to_array : t -> int option array
-
-(** [of_array g ~colors a] rebuilds a coloring from a snapshot, on the
-    plane selected by [Nw_graphs.Backend.default ()], in one bulk pass:
-    O(m + n) plus the per-color arrays, with no per-edge cycle query.
-    The result answers every query exactly as [create] followed by
-    [set e c] for each colored edge in ascending edge order: same
-    {!to_array}, same {!iter_colored_incident} order, same
-    connectivity. The per-color union-find and rooted forest are built
-    lazily on a color's first connectivity query, so {!path} returns the
-    same edge set but may list it in another order, and
-    {!Counters} count fewer queries and rebuilds than that loop did.
-    @raise Invalid_argument if some class is not a forest or a color is
-    out of range. *)
-val of_array : Nw_graphs.Multigraph.t -> colors:int -> int option array -> t
-
-(** Deep copy on the same plane as [t], through the bulk {!of_array}. *)
-val copy : t -> t
-
-(** [extend t g'] transplants a live coloring onto [g'], a supergraph of
-    [graph t] on the same vertex set whose first [m] edge ids carry the
-    same endpoints; the new edge ids start uncolored. The per-color
-    union-find and rooted spanning forests carry over untouched, so the
-    cost is the array copies — O(m' + colors·n) — never a re-union or a
-    BFS (the CSR arm additionally re-mirrors the plane, O(m')). This is
-    the dynamic-graph entry point of the service layer: an edge insertion
-    extends the coloring, then probes colors with {!connected} instead of
-    re-running a decomposition. The result stays on [t]'s plane.
-    @raise Invalid_argument when [g'] is not such a supergraph. *)
-val extend : t -> Nw_graphs.Multigraph.t -> t
-
-(** [connected t c u v]: are [u] and [v] connected inside the color-[c]
-    forest? O(α(n)) amortized via the per-color union-find. Coloring a
-    fresh [u]–[v] edge with [c] is safe iff [not (connected t c u v)].
-    @raise Invalid_argument on an out-of-range color or vertex. *)
-val connected : t -> int -> int -> int -> bool
-
-(** [subgraph t c] is the color-[c] forest as a graph on all of [g]'s
-    vertices, with the map from new edge ids to original ids. Always a
-    [Multigraph], whatever the plane — the result feeds passes and
-    artifacts that archive it. *)
-val subgraph : t -> int -> Nw_graphs.Multigraph.t * int array
+include S with type graph = Nw_graphs.Multigraph.t
 
 (** Process-wide query counters (atomic, shared across bench domains and
-    both plane instances): union-find connectivity queries, BFS
-    executions, lazy union-find rebuilds. The bench harness reports
-    deltas per experiment. *)
+    colorings): union-find connectivity queries, BFS executions, lazy
+    union-find rebuilds. The bench harness reports deltas per
+    experiment. *)
 module Counters : sig
   type snapshot = { uf_queries : int; bfs_runs : int; uf_rebuilds : int }
 

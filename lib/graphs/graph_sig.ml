@@ -1,25 +1,15 @@
-(** The read-only graph interface shared by every data-plane backend.
+(** The read-only graph interface of the functorized cores.
 
-    Extracted from [Multigraph]'s query core: everything a LOCAL-model
-    kernel or decomposition primitive needs to *read* a graph, without
-    committing to a representation. Two backends implement it:
+    Everything a LOCAL-model kernel or decomposition primitive needs to
+    {e read} a graph. {!Multigraph} is the one implementation; the
+    functors over it ([Msg_net.Make], [Coloring.Make], [Augmenting.Make],
+    [Cut.Rules], [Forest_algo.Core]) are each applied once, to it.
 
-    - {!Multigraph} — the boxed reference plane ([(neighbor, edge) array]
-      adjacency rows); authoritative for semantics.
-    - {!Csr} — the compact plane (flat [Bigarray] int arrays, neighbor and
-      edge id packed into one immediate int); byte-identical outputs,
-      cache-linear traversal.
-
-    The contract is strict: for the same logical graph both backends must
-    agree on every operation below {e including iteration order} —
-    [incident]/[iter_incident]/[fold_incident] enumerate [(neighbor, edge)]
-    pairs in ascending edge-id order, and [ball] returns vertices in
-    reversed BFS-visit order. The qcheck differential suite
-    ([test/test_csr.ml]) pins this down operation by operation.
-
-    Construction and derived-graph surgery ([induced], [subgraph_of_edges],
-    [power]) are not part of the signature: they stay backend-specific, and
-    [Csr.of_multigraph]/[Csr.to_multigraph] bridge the planes. *)
+    Order contract: [iter_incident]/[fold_incident] enumerate
+    [(neighbor, edge)] pairs in ascending edge-id order, and [ball]
+    returns vertices in reversed BFS-visit order. [test/test_csr.ml]
+    checks every operation against a reference adjacency kept in the
+    test. *)
 
 module type GRAPH = sig
   type t
@@ -45,13 +35,9 @@ module type GRAPH = sig
   val degree : t -> int -> int
   val max_degree : t -> int
 
-  (** [(neighbor, edge_id)] pairs at [v], ascending edge id; parallel edges
-      appear once per edge id. Compat surface — allocates on the CSR
-      backend; hot paths should use {!iter_incident}. *)
-  val incident : t -> int -> (int * int) array
-
   (** [iter_incident g v f] calls [f neighbor edge_id] for every incident
-      edge of [v], in ascending edge-id order, without allocating. *)
+      edge of [v], in ascending edge-id order, without allocating;
+      parallel edges appear once per edge id. *)
   val iter_incident : t -> int -> (int -> int -> unit) -> unit
 
   (** [fold_incident g v ~init f] folds [f acc neighbor edge_id] in the
@@ -68,7 +54,7 @@ module type GRAPH = sig
   val is_simple : t -> bool
 
   (** [ball g v r]: vertices within distance [r] of [v], including [v],
-      in reversed BFS-visit order (both backends agree exactly). *)
+      in reversed BFS-visit order. *)
   val ball : t -> int -> int -> int list
 
   (** [ball_of_set g vs r]: membership array of vertices within distance
@@ -79,12 +65,9 @@ module type GRAPH = sig
 end
 
 (** {!GRAPH} plus the one piece of derived-graph surgery the functorized
-    core needs: per-color subgraph extraction for {!Cut}'s depth-mod rule.
-    Both backends implement it with identical edge-order semantics (kept
-    edges renumbered in ascending original edge-id order, vertex ids
-    preserved), so functor bodies over [GRAPH_EXT] stay byte-identical
-    across planes. General surgery ([induced], [power], builders) remains
-    backend-specific. *)
+    core needs: per-color subgraph extraction for {!Cut}'s depth-mod rule
+    (kept edges renumbered in ascending original edge-id order, vertex ids
+    preserved). *)
 module type GRAPH_EXT = sig
   include GRAPH
 

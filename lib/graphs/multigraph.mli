@@ -6,7 +6,9 @@
     studied here are undefined on them).
 
     The structure is immutable after construction: build with {!of_edges} or
-    via {!add_edge} on a {!builder}. *)
+    via {!add_edge} on a {!builder}. Adjacency is stored as compressed
+    sparse rows in plain int arrays (docs/data-plane.md); [n] and [m] must
+    stay below [2^31]. *)
 
 type t
 
@@ -21,7 +23,8 @@ val create_builder : int -> builder
     @raise Invalid_argument on a self-loop or out-of-range endpoint. *)
 val add_edge : builder -> int -> int -> int
 
-(** Freeze a builder into a graph. The builder may keep being used. *)
+(** Freeze a builder into a graph. The builder may keep being used.
+    @raise Invalid_argument if [n] or [m] reaches [2^31]. *)
 val build : builder -> t
 
 (** [of_edges n edges] builds a graph from an explicit edge list; the edge
@@ -46,17 +49,19 @@ val dst : t -> int -> int
     @raise Invalid_argument if [v] is not an endpoint of [e]. *)
 val other_endpoint : t -> int -> int -> int
 
-(** [incident g v] is the array of [(neighbor, edge_id)] pairs at [v];
-    parallel edges appear once per edge id. Do not mutate. *)
-val incident : t -> int -> (int * int) array
-
 (** [iter_incident g v f] calls [f neighbor edge_id] for every incident
-    edge of [v], in the {!incident} (ascending edge-id) order. *)
+    edge of [v], in ascending edge-id order, without allocating; parallel
+    edges appear once per edge id. *)
 val iter_incident : t -> int -> (int -> int -> unit) -> unit
 
 (** [fold_incident g v ~init f] folds [f acc neighbor edge_id] in the
-    {!incident} order. *)
+    {!iter_incident} order. *)
 val fold_incident : t -> int -> init:'a -> ('a -> int -> int -> 'a) -> 'a
+
+(** [incident g v] is the fresh array of [(neighbor, edge_id)] pairs at
+    [v], in the {!iter_incident} order. Allocates one row; library code
+    uses {!iter_incident}. *)
+val incident : t -> int -> (int * int) array
 
 val degree : t -> int -> int
 val max_degree : t -> int

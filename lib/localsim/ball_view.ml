@@ -26,13 +26,10 @@ let collect g ~radius ~rounds =
   let init v : state =
     let tbl = Hashtbl.create 16 in
     let incident =
-      Array.to_list
-        (Array.map
-           (fun (w, e) ->
+      List.rev
+        (G.fold_incident g v ~init:[] (fun acc _ e ->
              let u', v' = G.endpoints g e in
-             ignore w;
-             (e, u', v'))
-           (G.incident g v))
+             (e, u', v') :: acc))
     in
     Hashtbl.replace tbl v { owner = v; incident };
     tbl
@@ -41,7 +38,7 @@ let collect g ~radius ~rounds =
   let send v (st : state) =
     ignore v;
     let facts = Hashtbl.fold (fun _ r acc -> r :: acc) st [] in
-    Array.to_list (Array.map (fun (_, e) -> (e, facts)) (G.incident g v))
+    List.rev (G.fold_incident g v ~init:[] (fun acc _ e -> (e, facts) :: acc))
   in
   let recv v st msgs =
     ignore v;

@@ -77,7 +77,7 @@ let with_faults f thunk =
   (x, stats)
 
 (* ------------------------------------------------------------------ *)
-(* the kernel, generic over the graph data plane                       *)
+(* the kernel, generic over the graph                                  *)
 (* ------------------------------------------------------------------ *)
 
 module Make (G : Nw_graphs.Graph_sig.GRAPH) = struct
@@ -180,7 +180,7 @@ module Make (G : Nw_graphs.Graph_sig.GRAPH) = struct
 
   (* Counting round (messages carry no payload): the all-incident
      broadcast is a per-destination message count, so the kernel streams
-     the adjacency plane directly — no per-message list or tuple cells.
+     the adjacency rows directly — no per-message list or tuple cells.
      Message accounting matches plain_step exactly: one delivery per
      incident edge of each deciding vertex. *)
   let count_step t ~decide ~recv =
@@ -237,12 +237,10 @@ module Make (G : Nw_graphs.Graph_sig.GRAPH) = struct
      edge): the inbox of [w] is then exactly one value per incident
      edge — the neighbor's broadcast — so the kernel gathers it by
      streaming [w]'s own adjacency against a precomputed value array
-     instead of materializing per-message list cells. Runs identically
-     on both planes (the order contract below makes it plane-invariant);
-     message accounting matches the generic path: one delivery per
-     incidence, 2m per round. [recv] sees the messages in the
-     *receiver's incidence order* (ascending slot), which coincides on
-     both planes by the CSR order contract. *)
+     instead of materializing per-message list cells. Message
+     accounting matches the generic path: one delivery per incidence,
+     2m per round. [recv] sees the messages in the *receiver's
+     incidence order* (ascending edge id, the GRAPH order contract). *)
   let exchange_step t ~value ~recv =
     let n = G.n t.g in
     let vals = Array.make n 0 in
@@ -323,7 +321,7 @@ module Make (G : Nw_graphs.Graph_sig.GRAPH) = struct
 
      Always sequential: the timeline digest is order-sensitive over the
      full event sequence, and keeping one canonical event order is what
-     makes it a cross-backend, cross-domain-count invariant. *)
+     makes it a cross-domain-count invariant. *)
   let faulty_step t (f, st) ~send ~recv =
     let n = G.n t.g in
     let r = t.round_num in
@@ -527,76 +525,4 @@ module Make (G : Nw_graphs.Graph_sig.GRAPH) = struct
     loop 0
 end
 
-(* ------------------------------------------------------------------ *)
-(* the Multigraph-facing API: dispatches to the plane selected by      *)
-(* Backend.default at creation time                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Boxed_kernel = Make (Nw_graphs.Multigraph)
-module Csr_kernel = Make (Nw_graphs.Csr)
-
-type ('state, 'msg) t =
-  | Boxed of ('state, 'msg) Boxed_kernel.t
-  | Csr of Nw_graphs.Multigraph.t * ('state, 'msg) Csr_kernel.t
-      (* the original graph is kept for [graph]: callers hold Multigraph
-         handles and artifact kinds stay backend-agnostic *)
-
-let create g ~rounds ~init =
-  match Nw_graphs.Backend.default () with
-  | Nw_graphs.Backend.Boxed -> Boxed (Boxed_kernel.create g ~rounds ~init)
-  | Nw_graphs.Backend.Csr ->
-      Csr
-        (g, Csr_kernel.create (Nw_graphs.Csr.of_multigraph g) ~rounds ~init)
-
-let graph = function
-  | Boxed b -> Boxed_kernel.graph b
-  | Csr (g, _) -> g
-
-let state = function
-  | Boxed b -> Boxed_kernel.state b
-  | Csr (_, c) -> Csr_kernel.state c
-
-let set_state = function
-  | Boxed b -> Boxed_kernel.set_state b
-  | Csr (_, c) -> Csr_kernel.set_state c
-
-let states = function
-  | Boxed b -> Boxed_kernel.states b
-  | Csr (_, c) -> Csr_kernel.states c
-
-let fault_stats = function
-  | Boxed b -> Boxed_kernel.fault_stats b
-  | Csr (_, c) -> Csr_kernel.fault_stats c
-
-let round t ~label ~send ~recv =
-  match t with
-  | Boxed b -> Boxed_kernel.round b ~label ~send ~recv
-  | Csr (_, c) -> Csr_kernel.round c ~label ~send ~recv
-
-let round_count t ~label ~decide ~recv =
-  match t with
-  | Boxed b -> Boxed_kernel.round_count b ~label ~decide ~recv
-  | Csr (_, c) -> Csr_kernel.round_count c ~label ~decide ~recv
-
-let round_exchange t ~label ~value ~recv =
-  match t with
-  | Boxed b -> Boxed_kernel.round_exchange b ~label ~value ~recv
-  | Csr (_, c) -> Csr_kernel.round_exchange c ~label ~value ~recv
-
-let round_exchange_edges t ~label ~value ~recv =
-  match t with
-  | Boxed b -> Boxed_kernel.round_exchange_edges b ~label ~value ~recv
-  | Csr (_, c) -> Csr_kernel.round_exchange_edges c ~label ~value ~recv
-
-let messages_delivered = function
-  | Boxed b -> Boxed_kernel.messages_delivered b
-  | Csr (_, c) -> Csr_kernel.messages_delivered c
-
-let rounds_executed = function
-  | Boxed b -> Boxed_kernel.rounds_executed b
-  | Csr (_, c) -> Csr_kernel.rounds_executed c
-
-let run_until t ~label ~send ~recv ~halted ~max_rounds =
-  match t with
-  | Boxed b -> Boxed_kernel.run_until b ~label ~send ~recv ~halted ~max_rounds
-  | Csr (_, c) -> Csr_kernel.run_until c ~label ~send ~recv ~halted ~max_rounds
+include Make (Nw_graphs.Multigraph)

@@ -72,11 +72,10 @@ val with_faults : faults -> (unit -> 'a) -> 'a * fault_stats
 
 (** {2 The generic kernel}
 
-    The kernel itself is a functor over the {!Nw_graphs.Graph_sig.GRAPH}
-    data plane: the same round semantics run on the boxed plane
-    ([Multigraph]) or the compact CSR plane ([Csr]), byte-identically.
-    Rounds additionally shard across [Dpool.available ()] domains (captured
-    at creation) with a deterministic mailbox merge, so results are
+    The kernel itself is a functor over {!Nw_graphs.Graph_sig.GRAPH},
+    applied once, to {!Nw_graphs.Multigraph}, for the API below. Rounds
+    shard across [Dpool.available ()] domains (captured at creation)
+    with a deterministic mailbox merge, so results are
     byte-identical to the sequential path at any domain count; under an
     ambient fault context the canonical sequential event order is always
     used, keeping the fault-timeline digest invariant. See
@@ -104,7 +103,7 @@ module Make (G : Nw_graphs.Graph_sig.GRAPH) : sig
   (** Specialised all-incident broadcast round, payload-free: vertices for
       which [decide] holds send [()] on every incident edge; [recv] sees the
       count of received messages. Semantically [round] with the synthesised
-      send/recv, but executed directly on the adjacency plane (no
+      send/recv, but executed directly on the adjacency rows (no
       per-message allocation). *)
   val round_count :
     ('state, unit) t ->
@@ -117,9 +116,9 @@ module Make (G : Nw_graphs.Graph_sig.GRAPH) : sig
       shape): every vertex broadcasts [value v st] on every incident
       edge; [recv v st iter] consumes the inbox through [iter f], which
       calls [f edge msg] once per incident edge of [v] — in [v]'s own
-      incidence order, identical on both planes by the CSR order
-      contract — without materializing message lists. Semantically
-      {!round} with the synthesised send/recv; accounting matches it:
+      incidence order (ascending edge id) — without materializing
+      message lists. Semantically {!round} with the synthesised
+      send/recv; accounting matches it:
       2m deliveries, one round charged. Under a fault context the
       canonical per-message path runs instead and [iter] follows the
       (fault-scheduled) inbox order, so [recv] must not depend on
@@ -161,11 +160,7 @@ end
 
 (** {2 The Multigraph-facing API}
 
-    What the algorithms use. [create] consults {!Nw_graphs.Backend.default}:
-    on [Boxed] the net runs on the graph as given; on [Csr] the graph is
-    converted once and the rounds run on the compact plane ([graph] still
-    returns the original). Either way every round primitive runs the
-    same kernel code and the observable behavior is byte-identical. *)
+    What the algorithms use: {!Make} over {!Nw_graphs.Multigraph}. *)
 
 type ('state, 'msg) t
 
@@ -202,7 +197,7 @@ val round :
   unit
 
 (** Payload-free all-incident broadcast round; see {!Make.round_count}.
-    Streams the adjacency of either plane. *)
+    Streams the adjacency rows. *)
 val round_count :
   ('state, unit) t ->
   label:string ->
@@ -211,9 +206,9 @@ val round_count :
   unit
 
 (** All-incident int broadcast; see {!Make.round_exchange}. Streams the
-    adjacency of either plane in incidence order; [recv] must be
-    order-insensitive beyond edge identity, which the fault fallback's
-    scheduled inbox order requires anyway. *)
+    adjacency rows in incidence order; [recv] must be order-insensitive
+    beyond edge identity, which the fault fallback's scheduled inbox
+    order requires anyway. *)
 val round_exchange :
   ('state, int) t ->
   label:string ->
@@ -222,7 +217,8 @@ val round_exchange :
   unit
 
 (** Edge-valued exchange; see {!Make.round_exchange_edges} for the
-    contract on [value]. Streams either plane, as {!round_exchange}. *)
+    contract on [value]. Streams the adjacency rows, as
+    {!round_exchange}. *)
 val round_exchange_edges :
   ('state, int) t ->
   label:string ->

@@ -9,7 +9,6 @@ module G = Nw_graphs.Multigraph
 module Gen = Nw_graphs.Generators
 module Coloring = Nw_decomp.Coloring
 module Verify = Nw_decomp.Verify
-module Backend = Nw_graphs.Backend
 
 let rng seed = Random.State.make [| seed; 0xcafe |]
 
@@ -203,16 +202,15 @@ let test_copy_preserves_cache_coherence () =
   check_all_queries "churned original" c
 
 (* -------------------------------------------------------------------- *)
-(* dynamic-graph differential: extend/connected across planes            *)
+(* dynamic-graph differential: extend/connected vs a DFS oracle         *)
 (* -------------------------------------------------------------------- *)
 
 (* The session layer's churn pattern (docs/service.md): an insertion
    extends the live coloring onto a supergraph and probes the palette
    with [connected]; a deletion tombstones a slot (unset — slot ids are
-   never reused). Replay one op script on both planes of the functorized
-   core and check every probe, every chosen insertion color, and the
-   final snapshot against a from-scratch DFS oracle and against each
-   other. *)
+   never reused). Replay one op script through the cache and check
+   every probe, every chosen insertion color, and the final snapshot
+   against a from-scratch DFS oracle. *)
 
 type dyn_op =
   | Insert of int * int
@@ -241,10 +239,9 @@ let gen_script st n k steps =
   done;
   List.rev !ops
 
-(* replay on one plane; every Insert rebuilds the supergraph and goes
-   through [extend], mirroring Session.insert_edge *)
-let replay kind n k script =
-  Backend.with_kind kind @@ fun () ->
+(* replay through the cache; every Insert rebuilds the supergraph and
+   goes through [extend], mirroring Session.insert_edge *)
+let replay n k script =
   let edges = ref [] (* reversed *) in
   let c = ref (Coloring.create (G.of_edges n []) ~colors:k) in
   let probes = ref [] and chosen = ref [] in
@@ -330,25 +327,18 @@ let replay_oracle n k script =
 
 let prop_extend_connected_differential =
   QCheck.Test.make
-    ~name:"extend/connected: boxed == csr == DFS oracle under tombstoned churn"
+    ~name:"extend/connected == DFS oracle under tombstoned churn"
     ~count:30 (QCheck.int_bound 1_000_000)
     (fun seed ->
       let st = rng seed in
       let n = 5 + Random.State.int st 8 in
       let k = 1 + Random.State.int st 3 in
       let script = gen_script st n k 50 in
-      let bp, bc, bs = replay Backend.Boxed n k script in
-      let cp, cc, cs = replay Backend.Csr n k script in
+      let cp, cc, cs = replay n k script in
       let op, oc, os = replay_oracle n k script in
-      if bp <> cp then Alcotest.fail "probe answers differ boxed vs csr";
-      if bp <> op then Alcotest.fail "probe answers differ boxed vs oracle";
-      if bc <> cc then
-        Alcotest.fail "insertion colors differ boxed vs csr";
-      if bc <> oc then
-        Alcotest.fail "insertion colors differ boxed vs oracle";
-      if bs <> cs then Alcotest.fail "final snapshot differs boxed vs csr";
-      if bs <> os then
-        Alcotest.fail "final snapshot differs boxed vs oracle";
+      if cp <> op then Alcotest.fail "probe answers differ from the oracle";
+      if cc <> oc then Alcotest.fail "insertion colors differ from the oracle";
+      if cs <> os then Alcotest.fail "final snapshot differs from the oracle";
       true)
 
 (* -------------------------------------------------------------------- *)
@@ -393,7 +383,7 @@ let check_same_coloring ctx a b =
 
 let prop_bulk_of_array =
   QCheck.Test.make
-    ~name:"bulk of_array == per-edge set construction on both planes"
+    ~name:"bulk of_array == per-edge set construction"
     ~count:40 (QCheck.int_bound 1_000_000)
     (fun seed ->
       let st = rng seed in
@@ -406,15 +396,11 @@ let prop_bulk_of_array =
         random_op st c
       done;
       let a = Coloring.to_array c in
-      List.iter
-        (fun kind ->
-          Backend.with_kind kind @@ fun () ->
-          let bulk = Coloring.of_array g ~colors a in
-          check_same_coloring "bulk vs set" bulk (of_array_by_set g ~colors a);
-          check_same_coloring "copy vs set" (Coloring.copy bulk)
-            (of_array_by_set g ~colors a);
-          check_all_queries "bulk" bulk)
-        [ Backend.Boxed; Backend.Csr ];
+      let bulk = Coloring.of_array g ~colors a in
+      check_same_coloring "bulk vs set" bulk (of_array_by_set g ~colors a);
+      check_same_coloring "copy vs set" (Coloring.copy bulk)
+        (of_array_by_set g ~colors a);
+      check_all_queries "bulk" bulk;
       true)
 
 (* a class with a cycle is refused, whichever color carries it and
@@ -430,13 +416,9 @@ let prop_bulk_of_array_rejects_cycles =
       (* a cycle colored [bad] *)
       let g = Gen.cycle len in
       let a = Array.make (G.m g) (Some bad) in
-      List.iter
-        (fun kind ->
-          Backend.with_kind kind @@ fun () ->
-          match Coloring.of_array g ~colors a with
-          | exception Invalid_argument _ -> ()
-          | _ -> Alcotest.fail "cyclic class accepted")
-        [ Backend.Boxed; Backend.Csr ];
+      (match Coloring.of_array g ~colors a with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "cyclic class accepted");
       (* dropping one edge of the cycle makes it a path: accepted *)
       a.(Random.State.int st (G.m g)) <- None;
       ignore (Coloring.of_array g ~colors a);
@@ -521,26 +503,22 @@ let prop_max_forest_diameter =
       let g = Gen.erdos_renyi st n 0.35 in
       QCheck.assume (G.m g > 0);
       let colors = 1 + Random.State.int st 4 in
-      List.for_all
-        (fun kind ->
-          Backend.with_kind kind @@ fun () ->
-          let c = Coloring.create g ~colors in
-          for _ = 1 to 3 * G.m g do
-            random_op st c
-          done;
-          let oracle =
-            List.fold_left max 0
-              (List.init colors (fun col ->
-                   naive_diameter n
-                     (List.filter_map
-                        (fun e ->
-                          if Coloring.color c e = Some col then
-                            Some (G.endpoints g e)
-                          else None)
-                        (List.init (G.m g) Fun.id))))
-          in
-          Verify.max_forest_diameter c = oracle)
-        [ Backend.Boxed; Backend.Csr ])
+      let c = Coloring.create g ~colors in
+      for _ = 1 to 3 * G.m g do
+        random_op st c
+      done;
+      let oracle =
+        List.fold_left max 0
+          (List.init colors (fun col ->
+               naive_diameter n
+                 (List.filter_map
+                    (fun e ->
+                      if Coloring.color c e = Some col then
+                        Some (G.endpoints g e)
+                      else None)
+                    (List.init (G.m g) Fun.id))))
+      in
+      Verify.max_forest_diameter c = oracle)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 

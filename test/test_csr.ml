@@ -1,20 +1,19 @@
-(* Differential suite for the CSR data plane (docs/data-plane.md).
+(* The order contract of the one graph representation (docs/data-plane.md).
 
    Part 1 — qcheck: on random multigraphs (parallel edges included),
-   every Graph_sig.GRAPH operation on Csr must be byte-identical to
-   Multigraph — iteration order included, since the determinism contract
-   of the whole repo is phrased over adjacency order.
+   every Graph_sig.GRAPH operation of Multigraph, and the id maps of its
+   derived graphs, must equal a reference adjacency kept in this file:
+   the boxed-row build Multigraph used before its rows were packed.
+   Iteration order is compared too, since the determinism contract of
+   the whole repo is phrased over adjacency order.
 
    Part 2 — golden end-to-end: one engine-registry pipeline produces
-   byte-identical colorings and round ledgers on both backends and at
-   domains 1 vs 4; the message kernel under a fault plan produces the
-   identical state vector and fault-timeline digest across all four
-   (backend, domains) configurations. *)
+   identical colorings and round ledgers at domains 1, 2 and 4; the
+   message kernel under a fault plan produces the identical state vector
+   and fault-timeline digest at every domain count. *)
 
 module G = Nw_graphs.Multigraph
-module Csr = Nw_graphs.Csr
 module Gen = Nw_graphs.Generators
-module Backend = Nw_graphs.Backend
 module Dpool = Nw_localsim.Dpool
 module Net = Nw_localsim.Msg_net
 module Rounds = Nw_localsim.Rounds
@@ -35,70 +34,146 @@ let random_edges st n m =
       let v = if v >= u then v + 1 else v in
       (u, v))
 
+(* ------------------------------------------------------------------ *)
+(* the reference adjacency                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Boxed rows filled by one ascending pass over edge ids: row v lists
+   (neighbor, edge) in ascending edge-id order. *)
+let reference_rows n (edges : (int * int) array) =
+  let deg = Array.make n 0 in
+  Array.iter
+    (fun (u, v) ->
+      deg.(u) <- deg.(u) + 1;
+      deg.(v) <- deg.(v) + 1)
+    edges;
+  let adj = Array.init n (fun v -> Array.make deg.(v) (0, 0)) in
+  let fill = Array.make n 0 in
+  Array.iteri
+    (fun e (u, v) ->
+      adj.(u).(fill.(u)) <- (v, e);
+      fill.(u) <- fill.(u) + 1;
+      adj.(v).(fill.(v)) <- (u, e);
+      fill.(v) <- fill.(v) + 1)
+    edges;
+  adj
+
+(* BFS over the reference rows from the sources [vs] up to depth [r];
+   returns the vertices in visit order *)
+let reference_bfs adj vs r =
+  let dist = Array.make (Array.length adj) (-1) in
+  let q = Queue.create () in
+  let reach v d =
+    if dist.(v) < 0 then begin
+      dist.(v) <- d;
+      Queue.add v q
+    end
+  in
+  List.iter (fun v -> reach v 0) vs;
+  let order = ref [] in
+  while not (Queue.is_empty q) do
+    let u = Queue.take q in
+    order := u :: !order;
+    if dist.(u) < r then
+      Array.iter (fun (w, _) -> reach w (dist.(u) + 1)) adj.(u)
+  done;
+  List.rev !order
+
 let incident_list g v =
   List.rev (G.fold_incident g v ~init:[] (fun acc w e -> (w, e) :: acc))
 
-let incident_list_csr c v =
-  List.rev (Csr.fold_incident c v ~init:[] (fun acc w e -> (w, e) :: acc))
+let ascending_where n p = List.filter p (List.init n Fun.id)
 
-(* every GRAPH op, compared for one (multigraph, csr) pair; raises on the
-   first mismatch so qcheck reports the seed *)
-let check_pair g c =
+(* every GRAPH op of [g] against the reference built from [edges], plus
+   the id maps of the derived graphs; raises on the first mismatch so
+   qcheck reports the seed *)
+let check_against_reference st g n (edges : (int * int) array) =
   let fail fmt = Printf.ksprintf failwith fmt in
-  if G.n g <> Csr.n c then fail "n: %d vs %d" (G.n g) (Csr.n c);
-  if G.m g <> Csr.m c then fail "m: %d vs %d" (G.m g) (Csr.m c);
-  for e = 0 to G.m g - 1 do
-    if G.endpoints g e <> Csr.endpoints c e then fail "endpoints %d" e;
-    let u, v = G.endpoints g e in
-    if G.other_endpoint g e u <> Csr.other_endpoint c e u then
-      fail "other_endpoint %d/%d" e u;
-    if G.other_endpoint g e v <> Csr.other_endpoint c e v then
-      fail "other_endpoint %d/%d" e v
+  let adj = reference_rows n edges in
+  let m = Array.length edges in
+  if G.n g <> n then fail "n: %d vs %d" (G.n g) n;
+  if G.m g <> m then fail "m: %d vs %d" (G.m g) m;
+  Array.iteri
+    (fun e (u, v) ->
+      if G.endpoints g e <> (u, v) || G.src g e <> u || G.dst g e <> v then
+        fail "endpoints %d" e;
+      if G.other_endpoint g e u <> v || G.other_endpoint g e v <> u then
+        fail "other_endpoint %d" e)
+    edges;
+  let max_deg =
+    Array.fold_left (fun acc row -> max acc (Array.length row)) 0 adj
+  in
+  if G.max_degree g <> max_deg then fail "max_degree";
+  for v = 0 to n - 1 do
+    let row = Array.to_list adj.(v) in
+    if G.degree g v <> List.length row then fail "degree %d" v;
+    if G.incident g v <> adj.(v) then fail "incident %d" v;
+    if incident_list g v <> row then fail "fold_incident order %d" v;
+    let acc = ref [] in
+    G.iter_incident g v (fun w e -> acc := (w, e) :: !acc);
+    if List.rev !acc <> row then fail "iter_incident order %d" v
   done;
-  if G.max_degree g <> Csr.max_degree c then fail "max_degree";
-  for v = 0 to G.n g - 1 do
-    if G.degree g v <> Csr.degree c v then fail "degree %d" v;
-    if G.incident g v <> Csr.incident c v then fail "incident %d" v;
-    if incident_list g v <> incident_list_csr c v then
-      fail "fold_incident order %d" v;
-    let iter_order grab =
-      let acc = ref [] in
-      grab (fun w e -> acc := (w, e) :: !acc);
-      List.rev !acc
-    in
-    if
-      iter_order (fun f -> G.iter_incident g v f)
-      <> iter_order (fun f -> Csr.iter_incident c v f)
-    then fail "iter_incident order %d" v
-  done;
-  if G.edges g <> Csr.edges c then fail "edges";
-  let folded fold = List.rev (fold (fun e u v acc -> (e, u, v) :: acc)) in
-  if
-    folded (fun f -> G.fold_edges f g [])
-    <> folded (fun f -> Csr.fold_edges f c [])
+  if G.edges g <> edges then fail "edges";
+  if List.rev (G.fold_edges (fun e u v acc -> (e, u, v) :: acc) g [])
+     <> List.mapi (fun e (u, v) -> (e, u, v)) (Array.to_list edges)
   then fail "fold_edges order";
-  if G.is_simple g <> Csr.is_simple c then fail "is_simple";
-  let n = G.n g in
+  let key (u, v) = (min u v, max u v) in
+  let keys = List.sort_uniq compare (List.map key (Array.to_list edges)) in
+  if G.is_simple g <> (List.length keys = m) then fail "is_simple";
   for v = 0 to min (n - 1) 7 do
     for r = 0 to 3 do
-      if G.ball g v r <> Csr.ball c v r then fail "ball %d r=%d" v r
+      if G.ball g v r <> List.rev (reference_bfs adj [ v ] r) then
+        fail "ball %d r=%d" v r
     done
   done;
-  let set = List.filteri (fun i _ -> i mod 3 = 0) (List.init n Fun.id) in
+  let set = ascending_where n (fun v -> v mod 3 = 0) in
   for r = 0 to 3 do
-    if G.ball_of_set g set r <> Csr.ball_of_set c set r then
-      fail "ball_of_set r=%d" r
+    let reached = reference_bfs adj set r in
+    if
+      Array.to_list (G.ball_of_set g set r)
+      <> List.init n (fun v -> List.mem v reached)
+    then fail "ball_of_set r=%d" r
+  done;
+  (* derived graphs: ids renumbered in ascending original order *)
+  let members = Array.init n (fun _ -> Random.State.bool st) in
+  let sub, vmap, emap = G.induced g members in
+  if Array.to_list vmap <> ascending_where n (fun v -> members.(v)) then
+    fail "induced vmap";
+  let both_in e = members.(fst edges.(e)) && members.(snd edges.(e)) in
+  if Array.to_list emap <> ascending_where m both_in then fail "induced emap";
+  Array.iteri
+    (fun e' e ->
+      if (vmap.(G.src sub e'), vmap.(G.dst sub e')) <> edges.(e) then
+        fail "induced edge %d" e')
+    emap;
+  let keep = Array.init m (fun _ -> Random.State.bool st) in
+  let sub, emap = G.subgraph_of_edges g keep in
+  if Array.to_list emap <> ascending_where m (fun e -> keep.(e)) then
+    fail "subgraph emap";
+  if G.n sub <> n || G.edges sub <> Array.map (fun e -> edges.(e)) emap then
+    fail "subgraph edges";
+  for r = 1 to 2 do
+    (* an edge v-u for u > v in the BFS visit order from each v *)
+    let expected =
+      List.concat_map
+        (fun v ->
+          List.filter_map
+            (fun u -> if u > v then Some (v, u) else None)
+            (reference_bfs adj [ v ] r))
+        (List.init n Fun.id)
+    in
+    if Array.to_list (G.edges (G.power g r)) <> expected then
+      fail "power r=%d" r
   done
 
-let prop_of_edges =
-  QCheck.Test.make ~name:"Csr.of_edges == Multigraph.of_edges on every op"
+let prop_reference =
+  QCheck.Test.make ~name:"Multigraph == reference adjacency on every op"
     ~count:200 (QCheck.int_bound 1_000_000)
     (fun seed ->
       let st = rng seed in
       let n = 2 + Random.State.int st 30 in
-      let m = Random.State.int st 80 in
-      let edges = random_edges st n m in
-      check_pair (G.of_edges n edges) (Csr.of_edges n edges);
+      let edges = random_edges st n (Random.State.int st 80) in
+      check_against_reference st (G.of_edges n edges) n (Array.of_list edges);
       true)
 
 let prop_builder =
@@ -107,34 +182,23 @@ let prop_builder =
     (fun seed ->
       let st = rng seed in
       let n = 2 + Random.State.int st 20 in
-      let gb = G.create_builder n and cb = Csr.create_builder n in
-      for _ = 1 to Random.State.int st 60 do
+      let b = G.create_builder n in
+      let edges = ref [] in
+      for id = 0 to Random.State.int st 60 - 1 do
         let u = Random.State.int st n in
         let v = Random.State.int st (n - 1) in
         let v = if v >= u then v + 1 else v in
-        let id = G.add_edge gb u v and id' = Csr.add_edge cb u v in
-        if id <> id' then failwith "edge id mismatch"
+        if G.add_edge b u v <> id then failwith "edge id mismatch";
+        edges := (u, v) :: !edges;
+        (* a build in the middle must not disturb later ids *)
+        if id mod 7 = 3 then ignore (G.build b)
       done;
-      check_pair (G.build gb) (Csr.build cb);
+      check_against_reference st (G.build b) n
+        (Array.of_list (List.rev !edges));
       true)
 
-let prop_roundtrip =
-  QCheck.Test.make ~name:"of_multigraph / to_multigraph round-trips exactly"
-    ~count:100 (QCheck.int_bound 1_000_000)
-    (fun seed ->
-      let st = rng seed in
-      let n = 2 + Random.State.int st 40 in
-      let g = Gen.erdos_renyi st n 0.15 in
-      let c = Csr.of_multigraph g in
-      check_pair g c;
-      let g' = Csr.to_multigraph c in
-      G.n g = G.n g' && G.edges g = G.edges g'
-      && List.for_all
-           (fun v -> incident_list g v = incident_list g' v)
-           (List.init n Fun.id))
-
 let prop_generated_families =
-  QCheck.Test.make ~name:"conversion differential over generator families"
+  QCheck.Test.make ~name:"reference differential over generator families"
     ~count:40 (QCheck.int_bound 1_000_000)
     (fun seed ->
       let st = rng seed in
@@ -145,11 +209,11 @@ let prop_generated_families =
         | 1 -> Gen.line_multigraph (max 2 (n / 4)) 5
         | _ -> Gen.erdos_renyi st n 0.2
       in
-      check_pair g (Csr.of_multigraph g);
+      check_against_reference st g (G.n g) (G.edges g);
       true)
 
 (* ------------------------------------------------------------------ *)
-(* golden end-to-end: one registry pipeline, both planes, K in {1,4}   *)
+(* golden end-to-end: one registry pipeline, K in {1,2,4}             *)
 (* ------------------------------------------------------------------ *)
 
 (* colorings compared edge-by-edge through accessors (the repo's DET002
@@ -157,8 +221,7 @@ let prop_generated_families =
 let coloring_fingerprint g c =
   List.init (G.m g) (fun e -> Coloring.color c e)
 
-let run_pipeline g ~backend ~domains =
-  Backend.with_kind backend @@ fun () ->
+let run_pipeline g ~domains =
   Dpool.with_domains domains @@ fun () ->
   let entry =
     match Registry.find "lsfd" with Some e -> e | None -> assert false
@@ -176,21 +239,19 @@ let run_pipeline g ~backend ~domains =
 
 let golden_pipeline () =
   let g = Gen.forest_union (rng 91) 120 3 in
-  let reference = run_pipeline g ~backend:Backend.Boxed ~domains:1 in
+  let reference = run_pipeline g ~domains:1 in
   List.iter
-    (fun (backend, domains) ->
-      let got = run_pipeline g ~backend ~domains in
+    (fun domains ->
       Alcotest.(check (pair (list (option int)) (list (pair string int))))
-        (Printf.sprintf "lsfd pipeline identical on %s/%d"
-           (Backend.to_string backend) domains)
-        reference got)
-    [ (Backend.Boxed, 4); (Backend.Csr, 1); (Backend.Csr, 2); (Backend.Csr, 4) ]
+        (Printf.sprintf "lsfd pipeline identical at K=%d" domains)
+        reference
+        (run_pipeline g ~domains))
+    [ 2; 4 ]
 
 (* the message kernel under a fault plan: states, delivered-message
    count, and the order-sensitive timeline digest must be invariant
-   across backend and domain count (the faulty path is canonical) *)
-let run_faulty_flood ~backend ~domains =
-  Backend.with_kind backend @@ fun () ->
+   across domain counts (the faulty path is canonical) *)
+let run_faulty_flood ~domains =
   Dpool.with_domains domains @@ fun () ->
   let g = Gen.forest_union (rng 17) 60 3 in
   let plan =
@@ -218,24 +279,21 @@ let run_faulty_flood ~backend ~domains =
   (states, delivered, stats.Net.digest)
 
 let golden_chaos () =
-  let s0, d0, digest0 = run_faulty_flood ~backend:Backend.Boxed ~domains:1 in
+  let s0, d0, digest0 = run_faulty_flood ~domains:1 in
   List.iter
-    (fun (backend, domains) ->
-      let s, d, digest = run_faulty_flood ~backend ~domains in
-      let tag =
-        Printf.sprintf "%s/%d" (Backend.to_string backend) domains
-      in
+    (fun domains ->
+      let s, d, digest = run_faulty_flood ~domains in
+      let tag = Printf.sprintf "K=%d" domains in
       Alcotest.(check (list int)) (tag ^ " states") s0 s;
       Alcotest.(check int) (tag ^ " delivered") d0 d;
       Alcotest.(check int64) (tag ^ " digest") digest0 digest)
-    [ (Backend.Boxed, 4); (Backend.Csr, 1); (Backend.Csr, 4) ]
+    [ 2; 4 ]
 
-(* the counting round (H-partition peel) across all configurations, with
+(* the counting round (H-partition peel) across domain counts, with
    per-label ledgers compared too *)
 let golden_round_count () =
   let g = Gen.forest_union (rng 33) 300 4 in
-  let peel ~backend ~domains =
-    Backend.with_kind backend @@ fun () ->
+  let peel ~domains =
     Dpool.with_domains domains @@ fun () ->
     let rounds = Rounds.create () in
     let hp =
@@ -243,22 +301,20 @@ let golden_round_count () =
     in
     (Array.to_list hp.Nw_core.H_partition.layer, Rounds.ledger rounds)
   in
-  let reference = peel ~backend:Backend.Boxed ~domains:1 in
+  let reference = peel ~domains:1 in
   List.iter
-    (fun (backend, domains) ->
+    (fun domains ->
       Alcotest.(check (pair (list int) (list (pair string int))))
-        (Printf.sprintf "h-partition identical on %s/%d"
-           (Backend.to_string backend) domains)
-        reference
-        (peel ~backend ~domains))
-    [ (Backend.Boxed, 2); (Backend.Csr, 1); (Backend.Csr, 2); (Backend.Csr, 4) ]
+        (Printf.sprintf "h-partition identical at K=%d" domains)
+        reference (peel ~domains))
+    [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* streamed rounds vs the generic per-message round                    *)
 (* ------------------------------------------------------------------ *)
 
 (* [round_count], [round_exchange] and [round_exchange_edges] stream the
-   adjacency on both planes. Each is specified as [round] driven by the
+   adjacency rows. Each is specified as [round] driven by the
    explicit all-incident send and the matching recv adapter; this oracle
    runs exactly that per-message program beside the streamed one, on
    random multigraphs, fault-free and under a fault plan. The recvs are
@@ -315,8 +371,7 @@ let chaos_plan n =
   | Ok p -> p
   | Error msg -> failwith msg
 
-let run_rounds_under g ~backend ~chaos ~oracle =
-  Backend.with_kind backend @@ fun () ->
+let run_rounds_under g ~chaos ~oracle =
   if not chaos then (run_rounds g ~oracle, None)
   else
     let faults =
@@ -336,20 +391,14 @@ let prop_streamed_rounds_match_generic =
       let n = 2 + Random.State.int st 30 in
       let g = G.of_edges n (random_edges st n (Random.State.int st 90)) in
       List.for_all
-        (fun (backend, chaos) ->
-          let streamed = run_rounds_under g ~backend ~chaos ~oracle:false in
-          let generic = run_rounds_under g ~backend ~chaos ~oracle:true in
+        (fun chaos ->
+          let streamed = run_rounds_under g ~chaos ~oracle:false in
+          let generic = run_rounds_under g ~chaos ~oracle:true in
           if streamed <> generic then
-            QCheck.Test.fail_reportf "mismatch on %s%s"
-              (Backend.to_string backend)
+            QCheck.Test.fail_reportf "mismatch%s"
               (if chaos then " under faults" else "")
           else true)
-        [
-          (Backend.Boxed, false);
-          (Backend.Csr, false);
-          (Backend.Boxed, true);
-          (Backend.Csr, true);
-        ])
+        [ false; true ])
 
 (* ------------------------------------------------------------------ *)
 (* adversarial-scheduling merge determinism                            *)
@@ -415,13 +464,13 @@ let prop_adversarial_merge =
    scheduling must reproduce the K=1 coloring and ledger exactly *)
 let adversarial_pipeline () =
   let g = Gen.forest_union (rng 57) 120 3 in
-  let reference = run_pipeline g ~backend:Backend.Csr ~domains:1 in
+  let reference = run_pipeline g ~domains:1 in
   List.iter
     (fun domains ->
       Alcotest.(check (pair (list (option int)) (list (pair string int))))
         (Printf.sprintf "lsfd pipeline identical at K=%d" domains)
         reference
-        (run_pipeline g ~backend:Backend.Csr ~domains))
+        (run_pipeline g ~domains))
     [ 2; 4 ]
 
 let () =
@@ -431,13 +480,13 @@ let () =
   Alcotest.run "csr"
     [
       qsuite "differential"
-        [ prop_of_edges; prop_builder; prop_roundtrip; prop_generated_families ];
+        [ prop_reference; prop_builder; prop_generated_families ];
       ( "golden",
         [
-          Alcotest.test_case "lsfd pipeline across backends/domains" `Quick
+          Alcotest.test_case "lsfd pipeline across domains" `Quick
             golden_pipeline;
           Alcotest.test_case "fault digest invariant" `Quick golden_chaos;
-          Alcotest.test_case "round_count across backends/domains" `Quick
+          Alcotest.test_case "round_count across domains" `Quick
             golden_round_count;
         ] );
       qsuite "streamed-rounds" [ prop_streamed_rounds_match_generic ];

@@ -4,8 +4,8 @@
        [--wall-threshold PCT] [--rounds-tolerance N]
        [--throughput-threshold PCT] [--json]
 
-   Loads two sets of nw-bench records, aligns them by
-   (exp, env.backend), and compares the trajectory-bearing metrics:
+   Loads two sets of nw-bench records, aligns them by exp, and compares
+   the trajectory-bearing metrics:
 
      wall_s          regression when new > base * (1 + wall-threshold%)
      charged_rounds  regression when |new - base| > rounds-tolerance
@@ -16,7 +16,7 @@
                      contract as charged_rounds
      failed          regression when the new record carries a non-null
                      failure and the base does not
-     throughput legs aligned by (instance, backend, domains, edges);
+     throughput legs aligned by (instance, domains, edges);
                      regression when edges_per_sec <
                      base * (1 - throughput-threshold%)
      service         invalid / errors counts must not grow (a served
@@ -36,7 +36,6 @@ module J = Nw_obs.Json_lite
 
 type leg = {
   leg_instance : string; (* which timed pipeline; "-" on legacy records *)
-  leg_backend : string;
   leg_domains : int;
   leg_edges : int;
   leg_eps : float;
@@ -52,7 +51,6 @@ type service = {
 type run = {
   r_file : string;
   r_exp : string;
-  r_backend : string option;
   r_quick : bool;
   r_domains : int;
   r_wall : float;
@@ -149,17 +147,13 @@ let load_run file =
             List.filter_map
               (fun l ->
                 match
-                  ( jstr l "backend",
-                    jint l "domains",
-                    jint l "edges",
-                    jfloat l "edges_per_sec" )
+                  (jint l "domains", jint l "edges", jfloat l "edges_per_sec")
                 with
-                | Some b, Some d, Some e, Some eps ->
+                | Some d, Some e, Some eps ->
                     Some
                       {
                         leg_instance =
                           Option.value (jstr l "instance") ~default:"-";
-                        leg_backend = b;
                         leg_domains = d;
                         leg_edges = e;
                         leg_eps = eps;
@@ -174,8 +168,6 @@ let load_run file =
           (match jstr json "exp" with
           | Some e -> e
           | None -> die "%s: missing field \"exp\"" file);
-        r_backend =
-          Option.bind (J.member "env" json) (fun env -> jstr env "backend");
         r_quick =
           (match J.member "quick" json with
           | Some (J.Bool b) -> b
@@ -192,8 +184,7 @@ let load_run file =
         r_service = service;
       }
 
-let key r =
-  r.r_exp ^ "/" ^ Option.value r.r_backend ~default:"-"
+let key r = r.r_exp
 
 (* one comparison row of the delta table / JSON report *)
 type row = {
@@ -269,7 +260,6 @@ let compare_runs ~wall_pct ~rounds_tol ~tp_pct ~svc_pct ~spd_pct base neu =
     (fun bl ->
       let matches l =
         String.equal l.leg_instance bl.leg_instance
-        && String.equal l.leg_backend bl.leg_backend
         && l.leg_domains = bl.leg_domains
         && l.leg_edges = bl.leg_edges
       in
@@ -280,8 +270,8 @@ let compare_runs ~wall_pct ~rounds_tol ~tp_pct ~svc_pct ~spd_pct base neu =
           push
             {
               row_key =
-                Printf.sprintf "%s[%s %s x%d %de]" k bl.leg_instance
-                  bl.leg_backend bl.leg_domains bl.leg_edges;
+                Printf.sprintf "%s[%s x%d %de]" k bl.leg_instance
+                  bl.leg_domains bl.leg_edges;
               row_metric = "edges_per_sec";
               row_base = bl.leg_eps;
               row_new = nl.leg_eps;

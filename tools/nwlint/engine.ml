@@ -533,11 +533,10 @@ let lint_ast (config : Lint_config.t) ~scope ~file ~source_defines_compare
       (* a new boxed-tuple adjacency plane — per-vertex rows of (int *
          int) endpoints held in any two nested {array, list} containers:
          `(int * int) array array`, `(int * int) list array`, ... —
-         reintroduces the pointer-chasing data plane the CSR backend
-         exists to replace. The list-row forms matter since the
-         functorized Coloring/Augmenting core: an incremental-churn
-         helper in lib/decomp that accumulates adjacency as list rows
-         would silently pin the cache to the boxed plane. *)
+         reintroduces the pointer-chasing rows Multigraph's packed
+         int-array rows replaced. The list-row forms matter too: an
+         incremental-churn helper in lib/decomp that accumulates
+         adjacency as list rows would be a second, boxed adjacency. *)
       method! core_type ct =
         (if scope.in_lib then
            let is_int c =
@@ -566,11 +565,11 @@ let lint_ast (config : Lint_config.t) ~scope ~file ~source_defines_compare
                              %s %s` in lib/"
                             inner outer)
                          (Some
-                            "adjacency planes belong to the graph \
-                             backends: use Nw_graphs.Csr (flat Bigarray \
-                             planes, packed neighbor/edge ints) or the \
-                             sanctioned Multigraph reference plane \
-                             instead of a new boxed plane")
+                            "adjacency lives in Nw_graphs.Multigraph's \
+                             packed rows (row_ptr plus (neighbor lsl 31) \
+                             lor edge ints): read it with iter_incident / \
+                             fold_incident instead of building a boxed \
+                             plane")
                    | _ -> ())
                | None -> ())
            | None -> ());

@@ -11,10 +11,9 @@
      [module M = struct .. end] and functor bodies, whose canonical
      names carry the module path, e.g. "Nw_localsim.Msg_net.Make.round");
    - project-wide module aliases, including functor instantiations:
-     [module Boxed_kernel = Make (G)] maps the canonical module path
-     Nw_localsim.Msg_net.Boxed_kernel to ...Msg_net.Make, so a
-     cross-file [Net.round] (with [module Net = Nw_localsim.Msg_net.
-     Boxed_kernel]) resolves to the functor body's definition.
+     [module Net = Nw_localsim.Msg_net.Make (G)] maps the canonical
+     module path of [Net] to ...Msg_net.Make, so a [Net.round] resolves
+     to the functor body's definition.
 
    Resolution is name-based and deliberately conservative: a reference
    that does not resolve to a known project definition is treated as
