@@ -51,6 +51,13 @@ let check_field file json (field, shape) =
   | None -> ()
   | Some v -> if not (shape v) then fail file "field %S has the wrong type" field
 
+(* a field old records carry and new ones omit: absent is fine, present
+   must be a number *)
+let check_optional_number file json field =
+  match J.member field json with
+  | None | Some (J.Number _) -> ()
+  | Some _ -> fail file "field %S must be a number when present" field
+
 let common_fields =
   [
     ("exp", shape_string);
@@ -121,7 +128,7 @@ let check_env file json =
   | _ -> ()
 
 (* additive nw-bench/2 field: a throughput sweep (BENCH_scaling.json) is a
-   list of (instance, domains, rate) legs, each fully numeric so
+   list of (instance, edges, rate) legs, each fully numeric so
    trajectory tooling can diff edges_per_sec across commits *)
 let check_throughput file json =
   match J.member "throughput" json with
@@ -152,17 +159,24 @@ let check_throughput file json =
                    present");
             List.iter
               (fun f -> check_field file leg (f, shape_number))
-              [ "domains"; "edges"; "wall_s"; "edges_per_sec" ]
+              [ "edges"; "wall_s"; "edges_per_sec" ];
+            (* domains is historical (legs written while rounds could be
+               sharded); top_heap_words is the leg's heap high-water
+               mark, absent from older legs *)
+            List.iter
+              (check_optional_number file leg)
+              [ "domains"; "top_heap_words" ]
           end)
         legs
   | Some _ -> fail file "field \"throughput\" must be an array when present"
 
 (* additive nw-bench/2 field: per-experiment GC/allocator attribution
-   captured as quick_stat deltas around the measured run (plus the
-   Dpool worker accumulators for helper-domain allocation). Old
-   records without it stay valid; when present every field must be a
-   number — top_heap_words is the high-water mark at experiment end,
-   not a delta, but it is numeric all the same. *)
+   captured as quick_stat deltas around the measured run. Old records
+   without it stay valid; when present every field must be a number —
+   top_heap_words is the high-water mark at experiment end, not a
+   delta, but it is numeric all the same. worker_minor_words and
+   worker_major_words are historical (helper-domain allocation while
+   rounds could be sharded): optional, numeric when present. *)
 let resources_fields =
   [
     "minor_words";
@@ -171,8 +185,6 @@ let resources_fields =
     "minor_collections";
     "major_collections";
     "top_heap_words";
-    "worker_minor_words";
-    "worker_major_words";
   ]
 
 let check_resources file json =
@@ -181,7 +193,10 @@ let check_resources file json =
   | Some (J.Obj _ as res) ->
       List.iter
         (fun f -> check_field file res (f, shape_number))
-        resources_fields
+        resources_fields;
+      List.iter
+        (check_optional_number file res)
+        [ "worker_minor_words"; "worker_major_words" ]
   | Some _ -> fail file "field \"resources\" must be an object when present"
 
 (* additive nw-bench/2 field: the served-traffic record written by

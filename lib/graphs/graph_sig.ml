@@ -2,8 +2,8 @@
 
     Everything a LOCAL-model kernel or decomposition primitive needs to
     {e read} a graph. {!Multigraph} is the one implementation; the
-    functors over it ([Msg_net.Make], [Coloring.Make], [Augmenting.Make],
-    [Cut.Rules], [Forest_algo.Core]) are each applied once, to it.
+    functors over it ([Coloring.Make], [Augmenting.Make], [Cut.Rules],
+    [Forest_algo.Core]) are each applied once, to it.
 
     Order contract: [iter_incident]/[fold_incident] enumerate
     [(neighbor, edge)] pairs in ascending edge-id order, and [ball]

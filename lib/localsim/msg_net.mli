@@ -70,97 +70,13 @@ type fault_stats = {
     by every net created inside. Nests; the inner context wins. *)
 val with_faults : faults -> (unit -> 'a) -> 'a * fault_stats
 
-(** {2 The generic kernel}
+(** {2 The kernel}
 
-    The kernel itself is a functor over {!Nw_graphs.Graph_sig.GRAPH},
-    applied once, to {!Nw_graphs.Multigraph}, for the API below. Rounds
-    shard across [Dpool.available ()] domains (captured at creation)
-    with a deterministic mailbox merge, so results are
-    byte-identical to the sequential path at any domain count; under an
-    ambient fault context the canonical sequential event order is always
-    used, keeping the fault-timeline digest invariant. See
-    [docs/data-plane.md]. *)
-
-module Make (G : Nw_graphs.Graph_sig.GRAPH) : sig
-  type ('state, 'msg) t
-
-  val create :
-    G.t -> rounds:Rounds.t -> init:(int -> 'state) -> ('state, 'msg) t
-
-  val graph : ('state, 'msg) t -> G.t
-  val state : ('state, 'msg) t -> int -> 'state
-  val set_state : ('state, 'msg) t -> int -> 'state -> unit
-  val states : ('state, 'msg) t -> 'state array
-  val fault_stats : ('state, 'msg) t -> fault_stats option
-
-  val round :
-    ('state, 'msg) t ->
-    label:string ->
-    send:(int -> 'state -> (int * 'msg) list) ->
-    recv:(int -> 'state -> (int * 'msg) list -> 'state) ->
-    unit
-
-  (** Specialised all-incident broadcast round, payload-free: vertices for
-      which [decide] holds send [()] on every incident edge; [recv] sees the
-      count of received messages. Semantically [round] with the synthesised
-      send/recv, but executed directly on the adjacency rows (no
-      per-message allocation). *)
-  val round_count :
-    ('state, unit) t ->
-    label:string ->
-    decide:(int -> 'state -> bool) ->
-    recv:(int -> 'state -> int -> 'state) ->
-    unit
-
-  (** Specialised all-incident int broadcast (the Cole–Vishkin exchange
-      shape): every vertex broadcasts [value v st] on every incident
-      edge; [recv v st iter] consumes the inbox through [iter f], which
-      calls [f edge msg] once per incident edge of [v] — in [v]'s own
-      incidence order (ascending edge id) — without materializing
-      message lists. Semantically {!round} with the synthesised
-      send/recv; accounting matches it:
-      2m deliveries, one round charged. Under a fault context the
-      canonical per-message path runs instead and [iter] follows the
-      (fault-scheduled) inbox order, so [recv] must not depend on
-      message order beyond edge identity. *)
-  val round_exchange :
-    ('state, int) t ->
-    label:string ->
-    value:(int -> 'state -> int) ->
-    recv:(int -> 'state -> ((int -> int -> unit) -> unit) -> 'state) ->
-    unit
-
-  (** Like {!round_exchange} but the broadcast value may depend on the
-      edge it crosses ([value v st e]) — the concurrent multi-forest
-      Cole–Vishkin shape. [value] always sees the sender's pre-round
-      state. Contract: [value] must not read shared mutable data that
-      [recv] writes, so the kernel is free to evaluate it before or
-      during delivery. The streamed path exploits this by computing
-      each message at its receiver with no per-round edge-sized
-      scratch. *)
-  val round_exchange_edges :
-    ('state, int) t ->
-    label:string ->
-    value:(int -> 'state -> int -> int) ->
-    recv:(int -> 'state -> ((int -> int -> unit) -> unit) -> 'state) ->
-    unit
-
-  val messages_delivered : ('state, 'msg) t -> int
-  val rounds_executed : ('state, 'msg) t -> int
-
-  val run_until :
-    ('state, 'msg) t ->
-    label:string ->
-    send:(int -> 'state -> (int * 'msg) list) ->
-    recv:(int -> 'state -> (int * 'msg) list -> 'state) ->
-    halted:(int -> 'state -> bool) ->
-    max_rounds:int ->
-    int
-end
-
-(** {2 The Multigraph-facing API}
-
-    What the algorithms use: {!Make} over {!Nw_graphs.Multigraph}. *)
+    One sequential round loop over {!Nw_graphs.Multigraph}. Each round
+    kind has one fault-free path and one fault path: under an ambient
+    fault context every message gets its own verdict in the canonical
+    per-message event order, so the fault-timeline digest is a pure
+    function of the plan and the run. See [docs/data-plane.md]. *)
 
 type ('state, 'msg) t
 
@@ -196,8 +112,11 @@ val round :
   recv:(int -> 'state -> (int * 'msg) list -> 'state) ->
   unit
 
-(** Payload-free all-incident broadcast round; see {!Make.round_count}.
-    Streams the adjacency rows. *)
+(** Specialised all-incident broadcast round, payload-free: vertices for
+    which [decide] holds send [()] on every incident edge; [recv] sees the
+    count of received messages. Semantically {!round} with the
+    synthesised send/recv, but executed directly on the adjacency rows
+    (no per-message allocation). *)
 val round_count :
   ('state, unit) t ->
   label:string ->
@@ -205,10 +124,17 @@ val round_count :
   recv:(int -> 'state -> int -> 'state) ->
   unit
 
-(** All-incident int broadcast; see {!Make.round_exchange}. Streams the
-    adjacency rows in incidence order; [recv] must be order-insensitive
-    beyond edge identity, which the fault fallback's scheduled inbox
-    order requires anyway. *)
+(** Specialised all-incident int broadcast (the Cole–Vishkin exchange
+    shape): every vertex broadcasts [value v st] on every incident
+    edge; [recv v st iter] consumes the inbox through [iter f], which
+    calls [f edge msg] once per incident edge of [v] — in [v]'s own
+    incidence order (ascending edge id) — without materializing
+    message lists. Semantically {!round} with the synthesised
+    send/recv; accounting matches it:
+    2m deliveries, one round charged. Under a fault context the
+    canonical per-message path runs instead and [iter] follows the
+    (fault-scheduled) inbox order, so [recv] must not depend on
+    message order beyond edge identity. *)
 val round_exchange :
   ('state, int) t ->
   label:string ->
@@ -216,9 +142,14 @@ val round_exchange :
   recv:(int -> 'state -> ((int -> int -> unit) -> unit) -> 'state) ->
   unit
 
-(** Edge-valued exchange; see {!Make.round_exchange_edges} for the
-    contract on [value]. Streams the adjacency rows, as
-    {!round_exchange}. *)
+(** Like {!round_exchange} but the broadcast value may depend on the
+    edge it crosses ([value v st e]) — the concurrent multi-forest
+    Cole–Vishkin shape. [value] always sees the sender's pre-round
+    state. Contract: [value] must not read shared mutable data that
+    [recv] writes, so the kernel is free to evaluate it before or
+    during delivery. The streamed path exploits this by computing
+    each message at its receiver with no per-round edge-sized
+    scratch. *)
 val round_exchange_edges :
   ('state, int) t ->
   label:string ->

@@ -1,9 +1,10 @@
 (* nwlint-flow tests: each interprocedural rule fires on its fixture
    under test/fixtures/flow; the shipped lib/ tree is flow-clean; the
    contract verifier covers every registry pipeline; a deliberately
-   injected shared-ref write inside a real Dpool shard lambda is
-   caught (the "would @lint-deep fail?" drill); suppressions, the
-   summary cache, and the baseline ratchet round-trip. *)
+   injected shared-ref write from a Domain.spawn thunk inside a real
+   message-kernel round is caught (the "would @lint-deep fail?" drill);
+   suppressions, the summary cache, and the baseline ratchet
+   round-trip. *)
 
 module D = Nwlint_core.Diagnostic
 module Engine = Nwlint_core.Engine
@@ -77,8 +78,9 @@ let race001_fixture () =
   let ds = fixture_findings () in
   assert_finding ds "RACE001" "Race001.total";
   assert_finding ds "RACE001" "Race001.seen";
-  assert_finding ds "RACE001" "Dpool.run callback";
-  assert_finding ds "RACE001" "~recv callback"
+  assert_finding ds "RACE001" "Domain.spawn callback";
+  assert_finding ds "RACE001" "Race001.spawn_sum";
+  assert_finding ds "RACE001" "Race001.record_seen"
 
 let race002_fixture () =
   let ds = fixture_findings () in
@@ -129,7 +131,7 @@ let contract_coverage () =
     registry_names;
   Alcotest.(check bool) "all pass bodies analyzed" true (r.Flow.pass_count >= 20)
 
-(* --- injected race: a shared-ref write inside a real Dpool shard --- *)
+(* --- injected race: a shared-ref write inside a real spawned domain - *)
 
 let replace ~first ~needle ~by s =
   let nl = String.length needle in
@@ -151,20 +153,23 @@ let injected_race () =
       (fun (path, content) ->
         if Filename.basename path <> "msg_net.ml" then (path, content)
         else
+          (* re-shard the fault-free round: a spawned helper domain
+             bumps a shared counter through a helper call *)
           let content =
-            replace ~first:true ~needle:"  let plain_step_par"
-              ~by:"  let leaked_total = ref 0\n\n  let plain_step_par" content
-          in
-          let content =
-            replace ~first:true ~needle:"let c = ref 0 in"
-              ~by:"let c = ref 0 in\n        incr leaked_total;" content
+            replace ~first:true ~needle:"let plain_step t ~send ~recv =\n"
+              ~by:
+                "let leaked_total = ref 0\n\
+                 let leak () = leaked_total := !leaked_total + 1\n\n\
+                 let plain_step t ~send ~recv =\n\
+                \  Domain.join (Domain.spawn (fun () -> leak ()));\n"
+              content
           in
           (path, content))
       sources
   in
   let r = Flow.analyze_sources mutated in
   Alcotest.(check bool)
-    "injected shard write to a shared ref is caught" true
+    "injected spawned-domain write to a shared ref is caught" true
     (List.exists
        (fun d ->
          d.D.rule = "RACE001" && contains ~needle:"leaked_total" d.D.message)
@@ -194,7 +199,7 @@ let pure_root_eff001 () =
 let race_src =
   "(* nwlint:disable RACE001 -- fixture: demonstrating suppression *)\n\
    let total = ref 0\n\
-   let shard xs = Nw_localsim.Dpool.run ~domains:2 (fun _ -> total := List.length xs)\n"
+   let shard xs = Domain.join (Domain.spawn (fun () -> total := List.length xs))\n"
 
 let flow_suppression () =
   let r = Flow.analyze_sources [ ("supp.ml", race_src) ] in

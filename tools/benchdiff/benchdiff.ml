@@ -16,9 +16,11 @@
                      contract as charged_rounds
      failed          regression when the new record carries a non-null
                      failure and the base does not
-     throughput legs aligned by (instance, domains, edges);
+     throughput legs aligned by (instance, edges);
                      regression when edges_per_sec <
-                     base * (1 - throughput-threshold%)
+                     base * (1 - throughput-threshold%); legs of
+                     historical records that ran sharded rounds
+                     (domains > 1) have no counterpart and are skipped
      service         invalid / errors counts must not grow (a served
                      response that fails client-side validation is a
                      correctness bug, not noise); per-class p99 latency
@@ -36,7 +38,6 @@ module J = Nw_obs.Json_lite
 
 type leg = {
   leg_instance : string; (* which timed pipeline; "-" on legacy records *)
-  leg_domains : int;
   leg_edges : int;
   leg_eps : float;
 }
@@ -149,12 +150,12 @@ let load_run file =
                 match
                   (jint l "domains", jint l "edges", jfloat l "edges_per_sec")
                 with
-                | Some d, Some e, Some eps ->
+                | Some d, _, _ when d > 1 -> None
+                | _, Some e, Some eps ->
                     Some
                       {
                         leg_instance =
                           Option.value (jstr l "instance") ~default:"-";
-                        leg_domains = d;
                         leg_edges = e;
                         leg_eps = eps;
                       }
@@ -260,7 +261,6 @@ let compare_runs ~wall_pct ~rounds_tol ~tp_pct ~svc_pct ~spd_pct base neu =
     (fun bl ->
       let matches l =
         String.equal l.leg_instance bl.leg_instance
-        && l.leg_domains = bl.leg_domains
         && l.leg_edges = bl.leg_edges
       in
       match List.find_opt matches neu.r_legs with
@@ -270,8 +270,7 @@ let compare_runs ~wall_pct ~rounds_tol ~tp_pct ~svc_pct ~spd_pct base neu =
           push
             {
               row_key =
-                Printf.sprintf "%s[%s x%d %de]" k bl.leg_instance
-                  bl.leg_domains bl.leg_edges;
+                Printf.sprintf "%s[%s %de]" k bl.leg_instance bl.leg_edges;
               row_metric = "edges_per_sec";
               row_base = bl.leg_eps;
               row_new = nl.leg_eps;

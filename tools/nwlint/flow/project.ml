@@ -9,10 +9,10 @@
      "Nw_<dir>.Foo.bar" (files outside lib/ get bare "Foo.bar");
    - every top-level value definition (including ones nested in
      [module M = struct .. end] and functor bodies, whose canonical
-     names carry the module path, e.g. "Nw_localsim.Msg_net.Make.round");
+     names carry the module path, e.g. "Nw_decomp.Coloring.Make.set");
    - project-wide module aliases, including functor instantiations:
-     [module Net = Nw_localsim.Msg_net.Make (G)] maps the canonical
-     module path of [Net] to ...Msg_net.Make, so a [Net.round] resolves
+     [module C = Nw_decomp.Coloring.Make (G)] maps the canonical
+     module path of [C] to ...Coloring.Make, so a [C.set] resolves
      to the functor body's definition.
 
    Resolution is name-based and deliberately conservative: a reference
@@ -50,7 +50,7 @@ type def = {
 type t = {
   files : file list;
   libs : (string, unit) Hashtbl.t;  (* known wrapper names *)
-  lib_of_mod : (string, string) Hashtbl.t;  (* "Dpool" -> "Nw_localsim" *)
+  lib_of_mod : (string, string) Hashtbl.t;  (* "Msg_net" -> "Nw_localsim" *)
   defs : (string, def) Hashtbl.t;
   mod_aliases : (string, string list) Hashtbl.t;
       (* canonical module path -> canonical target segments *)

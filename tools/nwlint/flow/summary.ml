@@ -34,7 +34,7 @@ let successors g (n : E.node) =
     (fun (callee, _) -> if Hashtbl.mem g callee then Some callee else None)
     n.E.n_calls
   @ List.filter_map
-      (fun (_, root, _) -> if Hashtbl.mem g root then Some root else None)
+      (fun (root, _) -> if Hashtbl.mem g root then Some root else None)
       n.E.n_spawns
 
 (* iterative Tarjan (explicit stack so deep call chains cannot blow the
